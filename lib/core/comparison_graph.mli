@@ -11,11 +11,11 @@
 
     Determinism and bit-compatibility:
     - The clique's statistic routes through
-      {!Local_stat.collisions_bounded} (scratch-histogram counting sort
-      under the [Scratch.set_reuse] gate), and its float edge/triangle
-      counts use the same expressions as {!Local_stat}'s clique
-      wrappers, so clique-graph verdicts are bit-identical to the
-      hand-written testers' by construction.
+      {!Local_stat.collisions_bounded} (a scratch-histogram counting
+      sort up to a 2{^16} universe, a sort beyond it), and its float
+      edge/triangle counts use the same expressions as {!Local_stat}'s
+      clique wrappers, so clique-graph verdicts are bit-identical to
+      the hand-written testers' by construction.
     - Non-clique statistics are a branch-free walk over a flattened,
       sorted edge array — no allocation per evaluation.
     - [Random_regular] graphs are a pure function of (q, degree, seed):

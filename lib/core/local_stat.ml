@@ -31,8 +31,7 @@ let rec bump_all h samples i q acc =
 
 let collisions_bounded ~n samples =
   if n <= 0 then invalid_arg "Local_stat.collisions_bounded: n <= 0";
-  if n > hist_universe_limit || not (Dut_engine.Scratch.reuse_enabled ()) then
-    collisions samples
+  if n > hist_universe_limit then collisions samples
   else
     (* Counting sort via scratch histogram: O(q) with zero allocation
        (clearing is a generation bump, not an O(n) zeroing). Growing a

@@ -38,50 +38,6 @@ let expected_far t =
 
 let cutoff t = (expected_uniform t +. expected_far t) /. 2.
 
-(* The pre-overhaul round body, kept verbatim: the engine benchmark's
-   "before" leg (Scratch reuse off) runs it to measure the allocating
-   kernels. It consumes exactly the same RNG draws as the scratch path
-   below, so both produce the same verdict on the same stream. *)
-let accepts_legacy t rng source =
-  let block = t.n / t.buckets in
-  let bucket_of =
-    Array.init t.groups (fun _ ->
-        let perm = Array.init t.n (fun i -> i) in
-        Dut_prng.Rng.shuffle_in_place rng perm;
-        let assignment = Array.make t.n 0 in
-        Array.iteri (fun pos elt -> assignment.(elt) <- pos / block) perm;
-        assignment)
-  in
-  let sizes = group_sizes t in
-  let group_of_player =
-    (* Players 0..k-1 assigned to groups in contiguous runs. *)
-    let assignment = Array.make t.k 0 in
-    let idx = ref 0 in
-    Array.iteri
-      (fun g kg ->
-        for _ = 1 to kg do
-          assignment.(!idx) <- g;
-          incr idx
-        done)
-      sizes;
-    assignment
-  in
-  let messenger ~index _coins samples =
-    let g = group_of_player.(index) in
-    (g, bucket_of.(g).(samples.(0)))
-  in
-  Dut_protocol.Network.round_messages ~rng ~source ~k:t.k ~q:1 ~messenger
-    ~referee:(fun messages ->
-      let counts = Array.make_matrix t.groups t.buckets 0 in
-      Array.iter
-        (fun (g, b) -> counts.(g).(b) <- counts.(g).(b) + 1)
-        messages;
-      let colliding = ref 0 in
-      Array.iter
-        (Array.iter (fun c -> colliding := !colliding + (c * (c - 1) / 2)))
-        counts;
-      float_of_int !colliding < cutoff t)
-
 let accepts t =
   (* Everything that depends only on the tester's parameters is computed
      once per tester, not once per trial: the critical-k search runs
@@ -98,8 +54,6 @@ let accepts t =
     else extra + ((index - boundary) / base)
   in
   fun rng source ->
-    if not (Dut_engine.Scratch.reuse_enabled ()) then accepts_legacy t rng source
-    else begin
     (* Public coins: one balanced random partition of [n] into equal
        buckets per player group (n and buckets are powers of two, so the
        blocks divide evenly). Balance makes the null bucket distribution
@@ -139,7 +93,6 @@ let accepts t =
     Dut_engine.Scratch.release perm;
     Dut_engine.Scratch.release assignment;
     float_of_int colliding < cutoff
-    end
 
 let tester ~n ~eps ~k ~bits =
   let t = make ~n ~eps ~k ~bits in

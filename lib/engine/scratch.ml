@@ -32,36 +32,25 @@ let arena_key =
 
 let arena () = Domain.DLS.get arena_key
 
-(* Process-wide switch between the scratch hot paths and the legacy
-   allocating kernels they replaced. Results are identical either way;
-   the engine benchmark flips it off to measure an honest "before". *)
-let reuse = Atomic.make true
-
-let set_reuse b = Atomic.set reuse b
-
-let reuse_enabled () = Atomic.get reuse
-
 let borrow ~len =
   if len < 0 then invalid_arg "Scratch.borrow: len < 0";
   if len = 0 then [||]
   else begin
     Dut_obs.Metrics.incr m_borrows;
-    if not (Atomic.get reuse) then Array.make len 0
-    else
-      let a = arena () in
-      (* [Hashtbl.find] + exception, not [find_opt]: the option would
-         be one small allocation per borrow, i.e. per protocol round. *)
-      match Hashtbl.find a.free len with
-      | { contents = buf :: rest } as cell ->
-          cell := rest;
-          Dut_obs.Metrics.incr m_reuse_hits;
-          buf
-      | { contents = [] } | (exception Not_found) -> Array.make len 0
+    let a = arena () in
+    (* [Hashtbl.find] + exception, not [find_opt]: the option would be
+       one small allocation per borrow, i.e. per protocol round. *)
+    match Hashtbl.find a.free len with
+    | { contents = buf :: rest } as cell ->
+        cell := rest;
+        Dut_obs.Metrics.incr m_reuse_hits;
+        buf
+    | { contents = [] } | (exception Not_found) -> Array.make len 0
   end
 
 let release buf =
   let len = Array.length buf in
-  if len > 0 && Atomic.get reuse then begin
+  if len > 0 then begin
     let a = arena () in
     match Hashtbl.find a.free len with
     | cell -> cell := buf :: !cell
@@ -73,20 +62,18 @@ let borrow_floats ~len =
   if len = 0 then [||]
   else begin
     Dut_obs.Metrics.incr m_borrows;
-    if not (Atomic.get reuse) then Array.make len 0.
-    else
-      let a = arena () in
-      match Hashtbl.find a.free_floats len with
-      | { contents = buf :: rest } as cell ->
-          cell := rest;
-          Dut_obs.Metrics.incr m_reuse_hits;
-          buf
-      | { contents = [] } | (exception Not_found) -> Array.make len 0.
+    let a = arena () in
+    match Hashtbl.find a.free_floats len with
+    | { contents = buf :: rest } as cell ->
+        cell := rest;
+        Dut_obs.Metrics.incr m_reuse_hits;
+        buf
+    | { contents = [] } | (exception Not_found) -> Array.make len 0.
   end
 
 let release_floats buf =
   let len = Array.length buf in
-  if len > 0 && Atomic.get reuse then begin
+  if len > 0 then begin
     let a = arena () in
     match Hashtbl.find a.free_floats len with
     | cell -> cell := buf :: !cell

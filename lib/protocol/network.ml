@@ -31,7 +31,7 @@ let with_round_buffer q use =
   Dut_engine.Scratch.release samples;
   result
 
-(* On the scratch paths, per-player coins recycle ONE borrowed child
+(* On the uniform-q rounds, per-player coins recycle ONE borrowed child
    source, re-seeded in place per player by [Rng.split_into] — the same
    child streams [Rng.split] would return, without the two fresh
    generator records per player. Players receive the coins only for the
@@ -63,23 +63,22 @@ let round_rates ~rng ~source ~qs ~player ~rule =
   in
   { votes; accept = Rule.apply rule votes }
 
+(* The message vector of a uniform-q round, one message per player in
+   index order. Messages never alias the samples buffer, so the caller
+   may read them after it is released. *)
+let gather ~rng ~source ~k ~q messenger =
+  with_round_buffer q (fun samples ->
+      with_scratch_coins (fun coins ->
+          Array.init k (fun i ->
+              Dut_prng.Rng.split_into rng coins;
+              fill_samples coins source q samples;
+              messenger ~index:i coins samples)))
+
 let round ~rng ~source ~k ~q ~player ~rule =
   if k <= 0 then invalid_arg "Network.round: k must be positive";
   if q < 0 then invalid_arg "Network.round: q must be non-negative";
-  if not (Dut_engine.Scratch.reuse_enabled ()) then
-    (* Legacy shape: delegate through the per-player-allocating
-       asymmetric round, exactly as before the scratch arenas. *)
-    round_rates ~rng ~source ~qs:(Array.make k q) ~player ~rule
-  else
-    with_round_buffer q (fun samples ->
-        with_scratch_coins (fun coins ->
-            let votes =
-              Array.init k (fun i ->
-                  Dut_prng.Rng.split_into rng coins;
-                  fill_samples coins source q samples;
-                  player ~index:i coins samples)
-            in
-            { votes; accept = Rule.apply rule votes }))
+  let votes = gather ~rng ~source ~k ~q player in
+  { votes; accept = Rule.apply rule votes }
 
 (* The counting referee: for count-decidable rules the verdict is
    [ones >= accept_min], so the round folds votes into one integer —
@@ -89,10 +88,8 @@ let round ~rng ~source ~k ~q ~player ~rule =
 let round_accept ~rng ~source ~k ~q ~player ~rule =
   if k <= 0 then invalid_arg "Network.round_accept: k must be positive";
   if q < 0 then invalid_arg "Network.round_accept: q must be non-negative";
-  if
-    (not (Dut_engine.Scratch.reuse_enabled ()))
-    || not (Rule.count_decidable rule)
-  then (round ~rng ~source ~k ~q ~player ~rule).accept
+  if not (Rule.count_decidable rule) then
+    (round ~rng ~source ~k ~q ~player ~rule).accept
   else
     let min_ones = Rule.accept_min rule ~k in
     with_round_buffer q (fun samples ->
@@ -108,48 +105,20 @@ let round_accept ~rng ~source ~k ~q ~player ~rule =
 let round_messages ~rng ~source ~k ~q ~messenger ~referee =
   if k <= 0 then invalid_arg "Network.round_messages: k must be positive";
   if q < 0 then invalid_arg "Network.round_messages: q must be non-negative";
-  if not (Dut_engine.Scratch.reuse_enabled ()) then begin
-    let messages =
-      Array.init k (fun i ->
-          let coins = Dut_prng.Rng.split rng in
-          let samples = Array.init q (fun _ -> source coins) in
-          messenger ~index:i coins samples)
-    in
-    referee messages
-  end
-  else
-    with_round_buffer q (fun samples ->
-        with_scratch_coins (fun coins ->
-            let messages =
-              Array.init k (fun i ->
-                  Dut_prng.Rng.split_into rng coins;
-                  fill_samples coins source q samples;
-                  messenger ~index:i coins samples)
-            in
-            referee messages))
+  referee (gather ~rng ~source ~k ~q messenger)
 
 let round_fold ~rng ~source ~k ~q ~messenger ~init ~f =
   if k <= 0 then invalid_arg "Network.round_fold: k must be positive";
   if q < 0 then invalid_arg "Network.round_fold: q must be non-negative";
   with_round_buffer q (fun samples ->
-      if Dut_engine.Scratch.reuse_enabled () then
-        with_scratch_coins (fun coins ->
-            let acc = ref init in
-            for i = 0 to k - 1 do
-              Dut_prng.Rng.split_into rng coins;
-              fill_samples coins source q samples;
-              acc := f !acc (messenger ~index:i coins samples)
-            done;
-            !acc)
-      else begin
-        let acc = ref init in
-        for i = 0 to k - 1 do
-          let coins = Dut_prng.Rng.split rng in
-          fill_samples coins source q samples;
-          acc := f !acc (messenger ~index:i coins samples)
-        done;
-        !acc
-      end)
+      with_scratch_coins (fun coins ->
+          let acc = ref init in
+          for i = 0 to k - 1 do
+            Dut_prng.Rng.split_into rng coins;
+            fill_samples coins source q samples;
+            acc := f !acc (messenger ~index:i coins samples)
+          done;
+          !acc))
 
 let of_sampler s rng = Dut_dist.Sampler.draw s rng
 

@@ -50,8 +50,7 @@ val round_accept :
     votes against the precomputed {!Rule.accept_min} cutoff instead of
     materialising the vote vector, and the per-player coins recycle one
     scratch source re-seeded in place per player: the whole round
-    allocates nothing. Falls back to {!round} verbatim for {!Rule.Custom}
-    or when [Dut_engine.Scratch.set_reuse] disabled the scratch kernels.
+    allocates nothing. Falls back to {!round} verbatim for {!Rule.Custom}.
 
     @raise Invalid_argument if [k <= 0] or [q < 0]. *)
 

@@ -1,9 +1,9 @@
 (** Thin poll(2) binding for the service event loops.
 
     [Unix.select] is limited to FD_SETSIZE (1024 on Linux) descriptors
-    — one busy [dut bench --service] run blows past it. poll carries no
-    such cap, so the server, router and load generator all wait on this
-    instead. The runtime lock is released for the duration of the
+    — a few hundred concurrent clients of a fleet blow past it. poll
+    carries no such cap, so the server, the router and the client all
+    wait on this instead. The runtime lock is released for the duration of the
     blocking call; EINTR reads as "nothing ready" so a SIGINT lands at
     the loop's [Runner.interrupted] check. *)
 

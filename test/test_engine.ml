@@ -137,7 +137,9 @@ let test_estimate_prob_jobs_invariant () =
 
 let test_estimate_prob_matches_legacy_sequential () =
   (* The seed repo's implementation: split-per-trial in a plain loop.
-     The engine must reproduce its counts exactly. *)
+     The engine must reproduce its counts exactly, both on the pooled
+     path and on Parallel.count's sequential borrowed-child path
+     (jobs = 1). *)
   let event r = Dut_prng.Rng.unit_float r < 0.3 in
   let legacy_successes =
     let rng = Dut_prng.Rng.create 42 in
@@ -147,14 +149,19 @@ let test_estimate_prob_matches_legacy_sequential () =
     done;
     !s
   in
-  let ci =
-    Dut_stats.Montecarlo.estimate_prob ~jobs:4 ~trials:501
-      (Dut_prng.Rng.create 42) event
-  in
   let legacy =
     Dut_stats.Binomial_ci.wilson95 ~successes:legacy_successes ~trials:501
   in
-  check_ci "same estimate as the legacy loop" legacy.estimate ci.estimate
+  List.iter
+    (fun jobs ->
+      let ci =
+        Dut_stats.Montecarlo.estimate_prob ~jobs ~trials:501
+          (Dut_prng.Rng.create 42) event
+      in
+      check_ci
+        (Printf.sprintf "same estimate as the legacy loop (jobs=%d)" jobs)
+        legacy.estimate ci.estimate)
+    [ 1; 4 ]
 
 (* -- Runner: byte-identical output across jobs counts ------------------- *)
 
@@ -184,7 +191,13 @@ let test_run_all_byte_identical_across_jobs () =
   let j1 = run_all_to_string (cfg 1) in
   let j4 = run_all_to_string (cfg 4) in
   Alcotest.(check bool) "output is nonempty" true (String.length j1 > 2000);
-  Alcotest.(check string) "jobs=1 == jobs=4" j1 j4
+  Alcotest.(check string) "jobs=1 == jobs=4" j1 j4;
+  (* The outputs themselves are pinned, not just their agreement: a
+     kernel change that shifted every jobs count alike would pass the
+     comparison above. *)
+  Alcotest.(check string)
+    "digest" "2a6a9a638c91d8d3489181a8e966ddc7"
+    (Digest.to_hex (Digest.string j1))
 
 (* -- DUT_JOBS parsing ---------------------------------------------------- *)
 

@@ -6,10 +6,6 @@
 
 module Cg = Dut_core.Comparison_graph
 
-let with_reuse b f =
-  Dut_engine.Scratch.set_reuse b;
-  Fun.protect ~finally:(fun () -> Dut_engine.Scratch.set_reuse true) f
-
 (* -- Construction ------------------------------------------------------- *)
 
 let test_clique_counts () =
@@ -265,29 +261,22 @@ let check_verdicts_identical name tester_a tester_b =
   let ell = 4 in
   let n = 1 lsl (ell + 1) in
   let eps = 0.3 in
-  List.iter
-    (fun reuse ->
-      with_reuse reuse (fun () ->
-          for seed = 0 to 99 do
-            let sources =
-              [ Dut_protocol.Network.uniform_source ~n; far_source ~ell ~eps ]
-            in
-            List.iteri
-              (fun i source ->
-                let a =
-                  tester_a.Dut_core.Evaluate.accepts
-                    (Dut_prng.Rng.create seed) source
-                in
-                let b =
-                  tester_b.Dut_core.Evaluate.accepts
-                    (Dut_prng.Rng.create seed) source
-                in
-                if a <> b then
-                  Alcotest.failf "%s: verdicts differ (seed=%d source=%d reuse=%b)"
-                    name seed i reuse)
-              sources
-          done))
-    [ true; false ]
+  for seed = 0 to 99 do
+    let sources =
+      [ Dut_protocol.Network.uniform_source ~n; far_source ~ell ~eps ]
+    in
+    List.iteri
+      (fun i source ->
+        let a =
+          tester_a.Dut_core.Evaluate.accepts (Dut_prng.Rng.create seed) source
+        in
+        let b =
+          tester_b.Dut_core.Evaluate.accepts (Dut_prng.Rng.create seed) source
+        in
+        if a <> b then
+          Alcotest.failf "%s: verdicts differ (seed=%d source=%d)" name seed i)
+      sources
+  done
 
 let test_clique_and_bit_identity () =
   let ell = 4 in
@@ -321,12 +310,12 @@ let test_clique_majority_bit_identity () =
 
 let prop_collisions_bounded_path_split =
   (* Sort path vs scratch-histogram path across the universe-size
-     boundary, with reuse on and off. *)
+     boundary. *)
   let limit = 1 lsl 16 in
   QCheck.Test.make ~name:"collisions_bounded paths agree at the boundary"
     ~count:120
-    QCheck.(triple (int_range 0 300) small_int bool)
-    (fun (q, seed, reuse) ->
+    QCheck.(pair (int_range 0 300) small_int)
+    (fun (q, seed) ->
       let rng = Dut_prng.Rng.create seed in
       List.for_all
         (fun n ->
@@ -334,9 +323,8 @@ let prop_collisions_bounded_path_split =
           let samples =
             Array.init q (fun _ -> Dut_prng.Rng.int rng (min n (max 1 (q / 2 + 1))))
           in
-          let expected = Dut_core.Local_stat.collisions samples in
-          with_reuse reuse (fun () ->
-              Dut_core.Local_stat.collisions_bounded ~n samples = expected))
+          Dut_core.Local_stat.collisions_bounded ~n samples
+          = Dut_core.Local_stat.collisions samples)
         [ limit - 1; limit; limit + 1 ])
 
 (* -- Rule-search envelope ----------------------------------------------- *)

@@ -105,16 +105,29 @@ let test_draw_many_into_equals_draw_many () =
   Dut_dist.Sampler.draw_many_into sampler (rng 11) buf;
   Alcotest.(check (array int)) "sampler draws" expected buf
 
+(* The allocating general-message rounds the scratch rounds replaced:
+   a fresh child stream and a fresh sample tuple per player. *)
+let legacy_round_messages ~rng ~source ~k ~q ~messenger ~referee =
+  referee
+    (Array.init k (fun i ->
+         let coins = Dut_prng.Rng.split rng in
+         let samples = Array.init q (fun _ -> source coins) in
+         messenger ~index:i coins samples))
+
+let legacy_round_fold ~rng ~source ~k ~q ~messenger ~init ~f =
+  let acc = ref init in
+  for i = 0 to k - 1 do
+    let coins = Dut_prng.Rng.split rng in
+    let samples = Array.init q (fun _ -> source coins) in
+    acc := f !acc (messenger ~index:i coins samples)
+  done;
+  !acc
+
 (* The seed repo's round: fresh sample tuples from Array.init. The
    scratch-buffer round must reproduce votes and verdict exactly. *)
 let legacy_round ~rng ~source ~k ~q ~player ~rule =
-  let votes =
-    Array.init k (fun i ->
-        let coins = Dut_prng.Rng.split rng in
-        let samples = Array.init q (fun _ -> source coins) in
-        player ~index:i coins samples)
-  in
-  (votes, Dut_protocol.Rule.apply rule votes)
+  legacy_round_messages ~rng ~source ~k ~q ~messenger:player
+    ~referee:(fun votes -> (votes, Dut_protocol.Rule.apply rule votes))
 
 let test_round_equals_legacy_allocating_round () =
   let n = 256 in
@@ -141,38 +154,120 @@ let test_round_equals_legacy_allocating_round () =
       (2, Dut_protocol.Rule.Reject_threshold 4);
     ]
 
-(* Flipping Scratch reuse off routes every gated kernel (round sample
-   buffers, counting-sort collisions, scratch hard instances, the
-   counting referee, the single-sample referee) to its legacy
-   allocating body. Both paths consume the same draws, so full
-   evaluations must agree bit for bit — this is what lets the engine
-   bench measure an honest "before" leg. Every refereed tester shape
-   is covered. *)
-let with_reuse b f =
-  Dut_engine.Scratch.set_reuse b;
-  Fun.protect ~finally:(fun () -> Dut_engine.Scratch.set_reuse true) f
-
-let test_legacy_kernels_equal_scratch_kernels () =
-  let check_tester name tester =
-    let measure () =
-      Dut_core.Evaluate.measure ~trials:40 ~rng:(rng 21) ~ell:6 ~eps:0.3 tester
-    in
-    let scratch = with_reuse true measure in
-    let legacy = with_reuse false measure in
-    Alcotest.(check (float 0.))
-      (name ^ " uniform") scratch.uniform_accept.estimate
-      legacy.uniform_accept.estimate;
-    Alcotest.(check (float 0.))
-      (name ^ " far") scratch.far_reject.estimate legacy.far_reject.estimate
+(* The tuple-message single-sample referee that the scratch referee
+   replaced, verbatim except for its inputs: [Single_sample.t] is
+   abstract, so the bucket and group layout is rebuilt from (n, k, bits)
+   with [Single_sample.make]'s formulas, and the round runs on the
+   allocating [legacy_round_messages]. *)
+let legacy_single_sample ~n ~eps ~k ~bits rng source =
+  let t = Dut_core.Single_sample.make ~n ~eps ~k ~bits in
+  let buckets = 1 lsl bits in
+  let groups = max 1 (min (k / 2) 8) in
+  let block = n / buckets in
+  let bucket_of =
+    Array.init groups (fun _ ->
+        let perm = Array.init n (fun i -> i) in
+        Dut_prng.Rng.shuffle_in_place rng perm;
+        let assignment = Array.make n 0 in
+        Array.iteri (fun pos elt -> assignment.(elt) <- pos / block) perm;
+        assignment)
   in
-  check_tester "and" (Dut_core.And_tester.tester ~n:128 ~eps:0.3 ~k:8 ~q:48);
-  check_tester "single-sample"
-    (Dut_core.Single_sample.tester ~n:128 ~eps:0.3 ~k:300 ~bits:3);
-  check_tester "threshold-majority"
-    (Dut_core.Threshold_tester.tester_majority ~n:128 ~eps:0.3 ~k:8 ~q:48
-       ~calibration_trials:30 ~rng:(rng 51));
-  check_tester "threshold-fixed"
-    (Dut_core.Threshold_tester.tester_fixed ~n:128 ~eps:0.3 ~k:8 ~q:64 ~t:2)
+  let sizes =
+    Array.init groups (fun g ->
+        let base = k / groups in
+        if g < k mod groups then base + 1 else base)
+  in
+  let group_of_player =
+    (* Players 0..k-1 assigned to groups in contiguous runs. *)
+    let assignment = Array.make k 0 in
+    let idx = ref 0 in
+    Array.iteri
+      (fun g kg ->
+        for _ = 1 to kg do
+          assignment.(!idx) <- g;
+          incr idx
+        done)
+      sizes;
+    assignment
+  in
+  let messenger ~index _coins samples =
+    let g = group_of_player.(index) in
+    (g, bucket_of.(g).(samples.(0)))
+  in
+  legacy_round_messages ~rng ~source ~k ~q:1 ~messenger
+    ~referee:(fun messages ->
+      let counts = Array.make_matrix groups buckets 0 in
+      Array.iter
+        (fun (g, b) -> counts.(g).(b) <- counts.(g).(b) + 1)
+        messages;
+      let colliding = ref 0 in
+      Array.iter
+        (Array.iter (fun c -> colliding := !colliding + (c * (c - 1) / 2)))
+        counts;
+      float_of_int !colliding < Dut_core.Single_sample.cutoff t)
+
+(* Every scratch kernel must reproduce its allocating reference bit for
+   bit: the same messages in the same order, the same verdicts, and the
+   same root-stream position afterwards. *)
+let test_legacy_kernels_equal_scratch_kernels () =
+  let n = 128 in
+  let source = Dut_protocol.Network.uniform_source ~n in
+  let messenger ~index coins samples =
+    Array.fold_left
+      (fun acc s -> (acc * 31) + s)
+      ((index * 1009) + Dut_prng.Rng.int coins 1000)
+      samples
+  in
+  List.iter
+    (fun (k, q) ->
+      for seed = 0 to 9 do
+        let label what = Printf.sprintf "%s k=%d q=%d seed=%d" what k q seed in
+        let messages round =
+          let r = rng seed in
+          let got = ref [||] in
+          ignore
+            (round ~rng:r ~source ~k ~q ~messenger ~referee:(fun ms ->
+                 got := Array.copy ms;
+                 true));
+          (!got, Dut_prng.Rng.bits64 r)
+        in
+        let folded round =
+          let r = rng seed in
+          let acc =
+            round ~rng:r ~source ~k ~q ~messenger ~init:[] ~f:(fun acc m ->
+                m :: acc)
+          in
+          (acc, Dut_prng.Rng.bits64 r)
+        in
+        Alcotest.(check (pair (array int) int64))
+          (label "round_messages")
+          (messages legacy_round_messages)
+          (messages Dut_protocol.Network.round_messages);
+        Alcotest.(check (pair (list int) int64))
+          (label "round_fold")
+          (folded legacy_round_fold)
+          (folded Dut_protocol.Network.round_fold)
+      done)
+    [ (1, 0); (1, 1); (5, 7); (16, 40) ];
+  let hard = Dut_dist.Paninski.random ~ell:6 ~eps:0.5 (rng 77) in
+  let sources =
+    [ ("uniform", source); ("far", Dut_protocol.Network.of_paninski hard) ]
+  in
+  List.iter
+    (fun (k, bits) ->
+      let t = Dut_core.Single_sample.make ~n ~eps:0.5 ~k ~bits in
+      let accepts = Dut_core.Single_sample.accepts t in
+      List.iter
+        (fun (name, source) ->
+          for seed = 0 to 29 do
+            Alcotest.(check bool)
+              (Printf.sprintf "single-sample k=%d bits=%d %s seed=%d" k bits
+                 name seed)
+              (legacy_single_sample ~n ~eps:0.5 ~k ~bits (rng seed) source)
+              (accepts (rng seed) source)
+          done)
+        sources)
+    [ (2, 1); (3, 7); (17, 2); (64, 3); (300, 3); (1000, 5) ]
 
 (* -- Counting referee ---------------------------------------------------- *)
 
@@ -272,21 +367,6 @@ let prop_paninski_draw_block_equals_scalar =
       Dut_dist.Paninski.draw_block hard a buf;
       buf = Array.init 257 (fun _ -> Dut_dist.Paninski.draw hard b)
       && Dut_prng.Rng.bits64 a = Dut_prng.Rng.bits64 b)
-
-let test_parallel_count_reuse_invariant () =
-  (* The sequential scratch path of Parallel.count (borrowed child,
-     split_into per index) must count exactly what the legacy split-per
-     -index path counts. *)
-  let pred r _i = Dut_prng.Rng.unit_float r < 0.4 in
-  for seed = 0 to 9 do
-    let count b =
-      with_reuse b (fun () ->
-          Dut_engine.Parallel.count ~jobs:1 ~rng:(rng seed) ~n:500 pred)
-    in
-    Alcotest.(check int)
-      (Printf.sprintf "seed %d" seed)
-      (count false) (count true)
-  done
 
 let test_measure_jobs_invariant () =
   (* The full evaluation path — scratch samples, scratch Paninski,
@@ -420,8 +500,6 @@ let () =
             test_round_accept_equals_round;
           Alcotest.test_case "custom rule has no cutoff" `Quick
             test_custom_rule_not_count_decidable;
-          Alcotest.test_case "Parallel.count reuse-invariant" `Quick
-            test_parallel_count_reuse_invariant;
         ] );
       ( "search",
         [

@@ -1252,103 +1252,6 @@ let report_timeline path =
               parsed
           end)
 
-(* -- Bench history / regressions ----------------------------------------- *)
-
-let history_schema = "dut-bench-history/1"
-
-let report_regressions ~history ~last_k =
-  let open Dut_obs in
-  if not (Sys.file_exists history) then
-    obs_fail history
-      "no bench history (quick bench runs append to it: dune exec \
-       bench/main.exe -- --engine --quick)";
-  let rows =
-    String.split_on_char '\n' (read_file history)
-    |> List.filter (fun l -> String.trim l <> "")
-    |> List.mapi (fun i line ->
-           match Json.parse line with
-           | exception Json.Malformed msg ->
-               obs_fail history (Printf.sprintf "row %d: %s" (i + 1) msg)
-           | j ->
-               (match Json.field_opt j "schema" with
-               | Some (Json.Str s) when s = history_schema -> ()
-               | _ ->
-                   obs_fail history
-                     (Printf.sprintf "row %d: not a %s row" (i + 1)
-                        history_schema));
-               j)
-  in
-  let total = List.length rows in
-  let rows =
-    if total > last_k then
-      List.filteri (fun i _ -> i >= total - last_k) rows
-    else rows
-  in
-  Printf.printf "bench history %s: last %d of %d rows\n" history
-    (List.length rows) total;
-  let wall_of j =
-    match Json.field_opt j "run_all_wall_s" with
-    | Some (Json.Num f) -> Some f
-    | _ -> None
-  in
-  let rate_of j =
-    match Json.field_opt j "ingest_samples_per_s" with
-    | Some (Json.Num f) -> Some f
-    | _ -> None
-  in
-  Printf.printf "  %-24s %6s %12s %16s\n" "git" "jobs" "run-all(s)"
-    "ingest(M/s)";
-  List.iter
-    (fun j ->
-      let opt fmt = function Some f -> Printf.sprintf fmt f | None -> "-" in
-      Printf.printf "  %-24s %6.0f %12s %16s\n"
-        (try Json.want_str j "git" with _ -> "?")
-        (try Json.want_num j "jobs" with _ -> 0.)
-        (opt "%.2f" (wall_of j))
-        (opt "%.2f" (Option.map (fun r -> r /. 1e6) (rate_of j))))
-    rows;
-  match List.rev rows with
-  | [] | [ _ ] -> ()
-  | newest :: older ->
-      let best older of_row =
-        List.fold_left
-          (fun acc j ->
-            match (of_row j, acc) with
-            | Some v, Some b -> Some (Float.min v b)
-            | Some v, None -> Some v
-            | None, acc -> acc)
-          None older
-      in
-      (match (wall_of newest, best older wall_of) with
-      | Some now, Some best when now > 1.2 *. best ->
-          Printf.printf
-            "  WARNING: run-all wall %.2fs is %.0f%% above the best of the \
-             previous rows (%.2fs) — possible regression\n"
-            now
-            (100. *. ((now /. best) -. 1.))
-            best
-      | _ -> ());
-      (* Throughput regresses downward, so compare against the best
-         (highest) earlier rate. *)
-      let best_rate =
-        List.fold_left
-          (fun acc j ->
-            match (rate_of j, acc) with
-            | Some v, Some b -> Some (Float.max v b)
-            | Some v, None -> Some v
-            | None, acc -> acc)
-          None older
-      in
-      (match (rate_of newest, best_rate) with
-      | Some now, Some best when now < best /. 1.2 ->
-          Printf.printf
-            "  WARNING: ingest throughput %.2fM/s is %.0f%% below the best \
-             of the previous rows (%.2fM/s) — possible regression\n"
-            (now /. 1e6)
-            (100. *. (1. -. (now /. best)))
-            (best /. 1e6)
-      | _ -> ())
-
 (* Counters classified jobs-invariant in doc/observability.md: the
    engine's determinism contract makes their totals bit-equal across
    jobs counts, so two manifests of the same run configuration must
@@ -1429,7 +1332,7 @@ let obs_report_cmd =
      and exit non-zero on any disagreement; with $(b,--timeline), render a \
      dut-timeline/1 sampling file; with $(b,--profile)/$(b,--flame), turn a \
      trace into per-span-name self-time attribution or folded flamegraph \
-     stacks; with $(b,--regressions), compare recent bench-history rows."
+     stacks."
   in
   let manifest_arg =
     Arg.(
@@ -1493,47 +1396,26 @@ let obs_report_cmd =
       & info [ "top" ] ~docv:"N"
           ~doc:"Rows shown in the $(b,--profile) table (default 15).")
   in
-  let regressions_arg =
-    Arg.(
-      value
-      & opt ~vopt:(Some 8) (some int) None
-      & info [ "regressions" ] ~docv:"K"
-          ~doc:
-            "Compare the last $(docv) rows (default 8) of the bench \
-             history and print a WARNING when the newest run-all wall time \
-             or ingest throughput regressed by more than 20%.")
-  in
-  let history_arg =
-    Arg.(
-      value
-      & opt string (Filename.concat "results" "bench_history.jsonl")
-      & info [ "history" ] ~docv:"FILE"
-          ~doc:
-            "Bench history read by $(b,--regressions) (default \
-             results/bench_history.jsonl).")
-  in
-  let run manifest trace compare timeline profile flame top regressions
-      history =
+  let run manifest trace compare timeline profile flame top =
     let need_trace what =
       match trace with
       | Some t -> t
       | None -> obs_fail what "requires --trace FILE"
     in
-    match (compare, timeline, flame, profile, regressions) with
-    | _, _, _, _, Some k -> report_regressions ~history ~last_k:(max 1 k)
-    | _, Some path, _, _, _ -> report_timeline path
-    | _, _, true, _, _ -> report_flame (need_trace "--flame")
-    | _, _, _, true, _ ->
+    match (compare, timeline, flame, profile) with
+    | _, Some path, _, _ -> report_timeline path
+    | _, _, true, _ -> report_flame (need_trace "--flame")
+    | _, _, _, true ->
         report_profile
           ~trace_path:(need_trace "--profile")
           ~manifest_path:
             (Option.value manifest ~default:Dut_obs.Manifest.default_path)
           ~top:(max 1 top)
-    | Some path_b, _, _, _, _ ->
+    | Some path_b, _, _, _ ->
         report_compare
           (Option.value manifest ~default:Dut_obs.Manifest.default_path)
           path_b
-    | None, None, false, false, None -> (
+    | None, None, false, false -> (
         match (manifest, trace) with
         | None, None -> report_manifest Dut_obs.Manifest.default_path
         | _ ->
@@ -1546,7 +1428,7 @@ let obs_report_cmd =
   Cmd.v (Cmd.info "obs-report" ~doc)
     Term.(
       const run $ manifest_arg $ trace_file_arg $ compare_arg $ timeline_arg
-      $ profile_flag $ flame_flag $ top_arg $ regressions_arg $ history_arg)
+      $ profile_flag $ flame_flag $ top_arg)
 
 let main =
   let doc =

@@ -16,31 +16,22 @@ let make ~n ~eps ~k ~q ~byzantine ~calibration_trials ~rng =
   if byzantine < 0 || 2 * byzantine >= k then
     invalid_arg "Byzantine_tester.make: byzantine outside [0, k/2)";
   if calibration_trials <= 0 then invalid_arg "Byzantine_tester.make: trials <= 0";
-  let honest = k - byzantine in
-  let calibration_rng = Dut_prng.Rng.split rng in
-  let null_rejects r =
-    let count = ref 0 in
-    for _ = 1 to honest do
-      let samples = Array.init q (fun _ -> Dut_prng.Rng.int r n) in
-      if not (Local_stat.vote_midpoint ~n ~q ~eps samples) then incr count
-    done;
-    !count
-  in
   let honest_cutoff =
     Dut_protocol.Calibrate.reject_count_cutoff ~trials:calibration_trials
-      calibration_rng ~rejects:null_rejects ~level:0.15
+      (Dut_prng.Rng.split rng)
+      ~rejects:(Local_stat.null_midpoint_rejects ~n ~q ~eps ~voters:(k - byzantine))
+      ~level:0.15
   in
   { n; eps; k; q; byzantine; honest_cutoff }
 
 let accepts t ~adversary ~truth_is_far rng source =
-  let honest = t.k - t.byzantine in
-  let rejects = ref 0 in
-  for _ = 1 to honest do
-    let coins = Dut_prng.Rng.split rng in
-    let samples = Array.init t.q (fun _ -> source coins) in
-    if not (Local_stat.vote_midpoint ~n:t.n ~q:t.q ~eps:t.eps samples) then
-      incr rejects
-  done;
+  let rejects =
+    Dut_protocol.Network.round_fold ~rng ~source ~k:(t.k - t.byzantine) ~q:t.q
+      ~messenger:(fun ~index:_ _coins samples ->
+        Local_stat.vote_midpoint ~n:t.n ~q:t.q ~eps:t.eps samples)
+      ~init:0
+      ~f:(fun rejects accept -> if accept then rejects else rejects + 1)
+  in
   let liar_rejects =
     match adversary with
     | Push_accept -> 0
@@ -49,7 +40,7 @@ let accepts t ~adversary ~truth_is_far rng source =
   in
   (* Hardened rule: the referee widens its acceptance band by b, the
      most the liars could have inflated the count. *)
-  !rejects + liar_rejects < t.honest_cutoff + t.byzantine
+  rejects + liar_rejects < t.honest_cutoff + t.byzantine
 
 let tester ~n ~eps ~k ~q ~byzantine ~adversary ~calibration_trials ~rng ~far_flag
     =

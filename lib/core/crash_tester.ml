@@ -10,24 +10,14 @@ type t = {
 (* One round: per-player crash coin, live players vote with the midpoint
    cutoff; returns (live, rejects). *)
 let round ~n ~eps ~k ~q ~crash_prob rng source =
-  let live = ref 0 and rejects = ref 0 in
-  let messenger ~index:_ coins samples =
-    if Dut_prng.Rng.bernoulli coins crash_prob then None
-    else Some (Local_stat.vote_midpoint ~n ~q ~eps samples)
-  in
-  let (_ : bool) =
-    Dut_protocol.Network.round_messages ~rng ~source ~k ~q ~messenger
-      ~referee:(fun messages ->
-        Array.iter
-          (function
-            | None -> ()
-            | Some vote ->
-                incr live;
-                if not vote then incr rejects)
-          messages;
-        true)
-  in
-  (!live, !rejects)
+  Dut_protocol.Network.round_fold ~rng ~source ~k ~q
+    ~messenger:(fun ~index:_ coins samples ->
+      if Dut_prng.Rng.bernoulli coins crash_prob then None
+      else Some (Local_stat.vote_midpoint ~n ~q ~eps samples))
+    ~init:(0, 0)
+    ~f:(fun ((live, rejects) as acc) -> function
+      | None -> acc
+      | Some vote -> (live + 1, if vote then rejects else rejects + 1))
 
 let make ~n ~eps ~k ~q ~crash_prob ~calibration_trials ~rng =
   if n <= 0 || k <= 0 || q < 0 then invalid_arg "Crash_tester.make: bad sizes";
@@ -39,16 +29,12 @@ let make ~n ~eps ~k ~q ~crash_prob ~calibration_trials ~rng =
      (crashes don't change a live player's vote distribution); the
      referee then uses a live-count-adapted binomial cutoff, avoiding
      the granularity traps of a fixed fraction. *)
-  let calibration_rng = Dut_prng.Rng.split rng in
-  let rejects = ref 0 in
   let votes = calibration_trials * 8 in
-  for _ = 1 to votes do
-    let samples =
-      Array.init q (fun _ -> Dut_prng.Rng.int calibration_rng n)
-    in
-    if not (Local_stat.vote_midpoint ~n ~q ~eps samples) then incr rejects
-  done;
-  let rate = float_of_int !rejects /. float_of_int votes in
+  let rejects =
+    Local_stat.null_midpoint_rejects ~n ~q ~eps ~voters:votes
+      (Dut_prng.Rng.split rng)
+  in
+  let rate = float_of_int rejects /. float_of_int votes in
   (* Clamp away from the endpoints so binomial cutoffs stay sane. *)
   let rate = Float.max 0.01 (Float.min 0.95 rate) in
   { n; eps; k; q; crash_prob; null_reject_rate = rate }

@@ -118,3 +118,15 @@ let vote_midpoint ~n ~q ~eps samples =
 let vote_alarm ~n ~q ~false_alarm samples =
   accepts_alarm ~cutoff:(alarm_cutoff ~n ~q ~false_alarm)
     (collisions_bounded ~n samples)
+
+let null_midpoint_rejects ~n ~q ~eps ~voters rng =
+  let cutoff = midpoint_cutoff ~n ~q ~eps in
+  let samples = Dut_engine.Scratch.borrow ~len:q in
+  let rejects = ref 0 in
+  for _ = 1 to voters do
+    Dut_prng.Rng.ints_into rng ~bound:n samples;
+    if not (accepts_midpoint ~cutoff (collisions_bounded ~n samples)) then
+      incr rejects
+  done;
+  Dut_engine.Scratch.release samples;
+  !rejects

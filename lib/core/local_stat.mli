@@ -101,3 +101,10 @@ val vote_midpoint : n:int -> q:int -> eps:float -> int array -> bool
 val vote_alarm : n:int -> q:int -> false_alarm:float -> int array -> bool
 (** Accept vote using the rare-alarm cutoff ({!accepts_alarm}): [false]
     (alarm!) only when the collision count reaches the tail cutoff. *)
+
+val null_midpoint_rejects :
+  n:int -> q:int -> eps:float -> voters:int -> Dut_prng.Rng.t -> int
+(** How many of [voters] midpoint voters ({!vote_midpoint}) reject when
+    each in turn draws q samples with [Rng.int rng n]: one null round of
+    the calibration every midpoint-vote referee shares. The samples live
+    in one per-domain scratch buffer. *)

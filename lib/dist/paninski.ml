@@ -39,7 +39,7 @@ let random ~ell ~eps rng =
    draws a fresh hard instance per trial, and rebuilding the O(2^ell)
    vector in place avoids that allocation entirely. Indexed by ell
    (bounded by 20) so interleaved use at different sizes — e.g. a
-   bench at ell = 7 and ell = 2 — never churns. *)
+   run at ell = 7 and ell = 2 — never churns. *)
 let scratch_z = Domain.DLS.new_key (fun () -> Array.make 21 [||])
 
 let random_scratch ~ell ~eps rng =

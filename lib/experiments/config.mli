@@ -1,10 +1,10 @@
 (** Run configuration shared by every experiment.
 
     Two parameter profiles: [Fast] keeps each experiment to seconds (used
-    by [bench/main.exe] and CI); [Full] runs the sizes quoted in
-    EXPERIMENTS.md. Everything is derived deterministically from the
-    seed — [jobs] affects only wall-clock time, never a result bit (see
-    {!Dut_engine.Parallel}). *)
+    by the tests, the benchmark of record and CI); [Full] runs the sizes
+    quoted in EXPERIMENTS.md. Everything is derived deterministically
+    from the seed — [jobs] affects only wall-clock time, never a result
+    bit (see {!Dut_engine.Parallel}). *)
 
 type profile = Fast | Full
 

@@ -1,5 +1,5 @@
-(** Shared experiment execution/printing used by the CLI and the bench
-    harness.
+(** Shared experiment execution/printing used by the CLI and the
+    benchmark of record.
 
     Both entry points honour [cfg.jobs] via {!Dut_engine.Parallel}:
     [run_to_channel] parallelises the Monte-Carlo trials inside the

@@ -25,9 +25,8 @@ let trim_float x =
 let cell_to_string = function
   | Int i -> string_of_int i
   | Float f ->
-      (* Non-finite values are rendered as "n/a", the spelling the bench
-         JSON standardised on — one vocabulary across tables, CSV and
-         machine-readable outputs (JSON itself has no NaN/inf). *)
+      (* Non-finite values are rendered as "n/a": one vocabulary across
+         tables and CSV (JSON itself has no NaN/inf). *)
       if Float.is_nan f || Float.abs f = infinity then "n/a" else trim_float f
   | Str s -> s
   | Bool b -> if b then "yes" else "no"

@@ -20,7 +20,7 @@ val make : title:string -> columns:string list -> ?notes:string list -> cell lis
 val cell_to_string : cell -> string
 (** Floats are rendered with up to 4 significant decimals, trimmed;
     non-finite floats (NaN, ±inf) render as ["n/a"] in both the aligned
-    and the CSV output, matching the bench JSON's spelling. *)
+    and the CSV output. *)
 
 val render : t -> string
 (** Column-aligned plain text, ready for the terminal. *)

@@ -52,18 +52,11 @@ let decentralized_tester ~graph ~n ~eps ~q ~gossip_rounds ~calibration_trials ~r
   let k = Graph.n graph in
   (* Same calibrated cutoff as the tree-based tester, expressed as a
      fraction so each node can compare its local average estimate. *)
-  let calibration_rng = Dut_prng.Rng.split rng in
-  let null_rejects r =
-    let count = ref 0 in
-    for _ = 1 to k do
-      let samples = Array.init q (fun _ -> Dut_prng.Rng.int r n) in
-      if not (Dut_core.Local_stat.vote_midpoint ~n ~q ~eps samples) then incr count
-    done;
-    !count
-  in
   let cutoff_count =
     Dut_protocol.Calibrate.reject_count_cutoff ~trials:calibration_trials
-      calibration_rng ~rejects:null_rejects ~level:0.2
+      (Dut_prng.Rng.split rng)
+      ~rejects:(Dut_core.Local_stat.null_midpoint_rejects ~n ~q ~eps ~voters:k)
+      ~level:0.2
   in
   (* Compare strictly-below against the midpoint of cutoff-1 and cutoff,
      so gossip estimates straddling the integer cutoff break the right
@@ -76,21 +69,19 @@ let decentralized_tester ~graph ~n ~eps ~q ~gossip_rounds ~calibration_trials ~r
       Printf.sprintf "gossip(k=%d,q=%d,r=%d)" k q gossip_rounds;
     accepts =
       (fun rng source ->
-        let votes =
-          Array.init k (fun _ ->
-              let coins = Dut_prng.Rng.split rng in
-              let samples = Array.init q (fun _ -> source coins) in
-              if Dut_core.Local_stat.vote_midpoint ~n ~q ~eps samples then 0.
-              else 1.)
-        in
-        let estimates =
-          push_sum ~graph ~rng:(Dut_prng.Rng.split rng) ~values:votes
-            ~rounds:gossip_rounds
-        in
-        let accepts =
-          Array.fold_left
-            (fun acc e -> if e < cutoff_fraction then acc + 1 else acc)
-            0 estimates
-        in
-        2 * accepts > k);
+        Dut_protocol.Network.round_messages ~rng ~source ~k ~q
+          ~messenger:(fun ~index:_ _coins samples ->
+            if Dut_core.Local_stat.vote_midpoint ~n ~q ~eps samples then 0.
+            else 1.)
+          ~referee:(fun votes ->
+            let estimates =
+              push_sum ~graph ~rng:(Dut_prng.Rng.split rng) ~values:votes
+                ~rounds:gossip_rounds
+            in
+            let accepts =
+              Array.fold_left
+                (fun acc e -> if e < cutoff_fraction then acc + 1 else acc)
+                0 estimates
+            in
+            2 * accepts > k));
   }

@@ -27,18 +27,11 @@ let make ~graph ~n ~eps ~q ~calibration_trials ~rng =
      the reject-count distribution of k iid midpoint votes under the
      uniform null (the topology doesn't change the votes, only their
      transport). *)
-  let calibration_rng = Dut_prng.Rng.split rng in
-  let null_rejects r =
-    let count = ref 0 in
-    for _ = 1 to k do
-      let samples = Array.init q (fun _ -> Dut_prng.Rng.int r n) in
-      if not (Dut_core.Local_stat.vote_midpoint ~n ~q ~eps samples) then incr count
-    done;
-    !count
-  in
   let root_cutoff =
     Dut_protocol.Calibrate.reject_count_cutoff ~trials:calibration_trials
-      calibration_rng ~rejects:null_rejects ~level:0.2
+      (Dut_prng.Rng.split rng)
+      ~rejects:(Dut_core.Local_stat.null_midpoint_rejects ~n ~q ~eps ~voters:k)
+      ~level:0.2
   in
   { graph; tree; n; eps; q; root_cutoff }
 
@@ -124,8 +117,9 @@ let run t rng source =
           (state, outbox));
     }
   in
-  Sync_net.reset_counters ();
-  let states = Sync_net.run ~graph:t.graph ~rng ~rounds:(rounds + 1) ~logic in
+  let states, messages =
+    Sync_net.run ~graph:t.graph ~rng ~rounds:(rounds + 1) ~logic
+  in
   let root_verdict =
     match states.(tree.Span_tree.root).verdict with
     | Some v -> v
@@ -137,7 +131,7 @@ let run t rng source =
   {
     accept = root_verdict;
     rounds = rounds + 1;
-    messages = Sync_net.messages_sent ();
+    messages;
     max_message_bits = !max_bits;
     local_time = t.q + rounds + 1;
     all_agree;

@@ -31,16 +31,10 @@ val run :
   rng:Dut_prng.Rng.t ->
   rounds:int ->
   logic:('state, 'msg) node_logic ->
-  'state array
-(** Execute [rounds] rounds and return the final states. Each node's
-    private stream is split deterministically from [rng], so executions
-    are reproducible.
+  'state array * int
+(** Execute [rounds] rounds and return the final states and the number
+    of messages delivered. Each node's private stream is split
+    deterministically from [rng], so executions are reproducible.
 
     @raise Invalid_argument if [rounds < 0] or a node addresses a
     non-neighbor. *)
-
-val messages_sent : unit -> int
-(** Total messages delivered by [run] calls since the last
-    {!reset_counters} — a crude global cost meter for experiments. *)
-
-val reset_counters : unit -> unit

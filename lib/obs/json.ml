@@ -107,7 +107,7 @@ let parse s =
           | 'f' -> Buffer.add_char b '\012'
           | 'u' ->
               (* Keep the reader tiny: skip the four hex digits and
-                 substitute, exactly like the bench checker always did. *)
+                 substitute a '?'. *)
               advance ();
               advance ();
               advance ();

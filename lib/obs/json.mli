@@ -2,8 +2,8 @@
 
     The writer emits exactly the constructs the reader parses — objects,
     arrays, strings with simple backslash escapes, numbers, booleans,
-    null — which is all the manifest, the trace and the bench results
-    file need. Round-tripping through {!to_string} and {!parse} is the
+    null — which is all the manifest, the trace and the service
+    summaries need. Round-tripping through {!to_string} and {!parse} is the
     contract the observability tests pin. *)
 
 type t =

@@ -80,7 +80,7 @@ val reset : unit -> unit
 (** Zero every counter and histogram on every domain and clear every
     gauge. Intended
     for harnesses that measure deltas around a quiescent region (the
-    bench legs, the tests); calling it while pool tasks are running
+    benchmark's workloads); calling it while pool tasks are running
     would race with their increments. *)
 
 val dump : out_channel -> unit

@@ -1,6 +1,6 @@
 (* Trials actually executed, tallied on the shared metric vocabulary
-   (`mc.trials_used` in Dut_obs) so the bench harness, the manifest and
-   the --metrics dump all read one number. One counter add per
+   (`mc.trials_used` in Dut_obs) so the allocation-budget test, the
+   manifest and the --metrics dump all read one number. One counter add per
    *estimate* (not per trial): negligible overhead, and still exact
    because every estimator knows how many trials it ran. Adaptivity
    makes trials_used jobs-invariant (stopping depends only on counts at

@@ -76,5 +76,5 @@ val estimate_mean :
     jobs-invariant (stopping depends only on accumulated counts at
     fixed chunk boundaries). Read them with
     [Dut_obs.Metrics.value "mc.trials_used"] or a snapshot delta; the
-    bench harness and the run manifest do exactly that, so every
+    allocation-budget test and the run manifest do exactly that, so every
     surface shares one metric vocabulary (see [doc/observability.md]). *)

@@ -54,8 +54,8 @@ let test_table_column_floats () =
 let test_cell_to_string () =
   Alcotest.(check string) "int" "7" (Table.cell_to_string (Table.Int 7));
   Alcotest.(check string) "bool" "no" (Table.cell_to_string (Table.Bool false));
-  (* Non-finite floats share the bench JSON's "n/a" spelling, in CSV and
-     aligned output alike. *)
+  (* Non-finite floats render as "n/a", in CSV and aligned output
+     alike. *)
   Alcotest.(check string) "nan" "n/a" (Table.cell_to_string (Table.Float Float.nan));
   Alcotest.(check string) "inf" "n/a" (Table.cell_to_string (Table.Float infinity));
   Alcotest.(check string) "-inf" "n/a"

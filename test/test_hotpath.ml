@@ -1,12 +1,13 @@
 (* Tests for the hot-path overhaul: adaptive Monte-Carlo stopping,
    per-domain scratch arenas, and warm-started critical search.
 
-   Two families of guarantees are exercised:
+   Three families of guarantees are exercised:
    - equivalence: the scratch-arena kernels reproduce the historical
      allocating paths bit for bit, and the seeded search returns the
      same answer as the cold one for every monotone predicate;
    - jobs-invariance: the adaptive estimator's estimate AND spend are
-     identical for every jobs count. *)
+     identical for every jobs count;
+   - allocation: heavy experiments stay under a words-per-trial cap. *)
 
 let rng seed = Dut_prng.Rng.create seed
 
@@ -269,6 +270,35 @@ let test_legacy_kernels_equal_scratch_kernels () =
         sources)
     [ (2, 1); (3, 7); (17, 2); (64, 3); (300, 3); (1000, 5) ]
 
+(* The per-tester null calibration closure that
+   [Local_stat.null_midpoint_rejects] replaced, verbatim: a fresh sample
+   tuple per voter. *)
+let legacy_null_rejects ~n ~q ~eps ~voters r =
+  let count = ref 0 in
+  for _ = 1 to voters do
+    let samples = Array.init q (fun _ -> Dut_prng.Rng.int r n) in
+    if not (Dut_core.Local_stat.vote_midpoint ~n ~q ~eps samples) then
+      incr count
+  done;
+  !count
+
+let test_null_midpoint_rejects_equals_legacy () =
+  List.iter
+    (fun (n, q, eps, voters) ->
+      for seed = 0 to 19 do
+        let draw f =
+          let r = rng seed in
+          let rejects = f ~n ~q ~eps ~voters r in
+          (rejects, Dut_prng.Rng.bits64 r)
+        in
+        Alcotest.(check (pair int int64))
+          (Printf.sprintf "n=%d q=%d eps=%g voters=%d seed=%d" n q eps voters
+             seed)
+          (draw legacy_null_rejects)
+          (draw Dut_core.Local_stat.null_midpoint_rejects)
+      done)
+    [ (64, 0, 0.3, 3); (64, 12, 0.3, 16); (256, 40, 0.25, 36); (4096, 90, 0.5, 7) ]
+
 (* -- Counting referee ---------------------------------------------------- *)
 
 let test_round_accept_equals_round () =
@@ -455,6 +485,46 @@ let test_search_seeded_counts_fewer_probes_when_guess_is_close () =
     (Printf.sprintf "warm %d < cold %d" warm cold)
     true (warm < cold)
 
+(* -- Allocation budget ---------------------------------------------------- *)
+
+(* Minor-heap words per Monte-Carlo trial allowed on the hot path at a
+   fixed workload: fast profile, 60-trial probes, jobs 1. Each cap is
+   about twice the figure measured when it was set, so jitter passes
+   while a reintroduced per-trial allocation fails. Recalibrate with
+   [dune exec test/test_hotpath.exe -- test allocation], whose output
+   prints each measured figure. *)
+let words_per_trial_caps =
+  [
+    ("A1-ablation", 800.);
+    ("T13-local-model", 115_000.);
+    ("T16-gossip", 11_000.);
+    ("T19-byzantine", 1_700.);
+    ("T20-open-problem", 300.);
+  ]
+
+let test_allocation_budget () =
+  let open Dut_experiments in
+  let cfg = Config.make ~trials:60 ~jobs:1 Config.Fast in
+  Dut_engine.Parallel.set_default_jobs cfg.jobs;
+  Fun.protect
+    ~finally:(fun () ->
+      Dut_engine.Parallel.set_default_jobs (Dut_engine.Parallel.env_jobs ()))
+  @@ fun () ->
+  List.iter
+    (fun (id, cap) ->
+      let trials0 = Dut_obs.Metrics.value "mc.trials_used" in
+      let words0 = Gc.minor_words () in
+      ignore ((Option.get (Registry.find id)).Exp.run cfg);
+      let words = Gc.minor_words () -. words0 in
+      let trials = Dut_obs.Metrics.value "mc.trials_used" - trials0 in
+      if trials <= 0 then Alcotest.failf "%s: ran no Monte-Carlo trials" id;
+      let per_trial = words /. float_of_int trials in
+      Printf.printf "%-18s %10.1f words/trial (cap %.0f)\n%!" id per_trial cap;
+      if per_trial > cap then
+        Alcotest.failf "%s: %.1f words/trial exceeds the budget of %.0f" id
+          per_trial cap)
+    words_per_trial_caps
+
 (* -- Jobs clamping ------------------------------------------------------- *)
 
 let test_effective_jobs_clamps () =
@@ -491,6 +561,8 @@ let () =
             test_round_equals_legacy_allocating_round;
           Alcotest.test_case "legacy kernels = scratch kernels" `Quick
             test_legacy_kernels_equal_scratch_kernels;
+          Alcotest.test_case "null_midpoint_rejects = allocating calibration"
+            `Quick test_null_midpoint_rejects_equals_legacy;
           Alcotest.test_case "measure jobs-invariant" `Quick
             test_measure_jobs_invariant;
         ] );
@@ -509,6 +581,11 @@ let () =
       ( "clamping",
         [ Alcotest.test_case "effective_jobs" `Quick test_effective_jobs_clamps ]
       );
+      ( "allocation",
+        [
+          Alcotest.test_case "words per trial within budget" `Slow
+            test_allocation_budget;
+        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [

@@ -110,7 +110,7 @@ let test_flood_broadcast () =
           else (false, []));
     }
   in
-  let states = Sync_net.run ~graph:g ~rng ~rounds:6 ~logic in
+  let states, _ = Sync_net.run ~graph:g ~rng ~rounds:6 ~logic in
   Alcotest.(check bool) "all reached" true (Array.for_all Fun.id states)
 
 let test_rounds_limit_propagation () =
@@ -127,7 +127,7 @@ let test_rounds_limit_propagation () =
           else (false, []));
     }
   in
-  let states = Sync_net.run ~graph:g ~rng ~rounds:3 ~logic in
+  let states, _ = Sync_net.run ~graph:g ~rng ~rounds:3 ~logic in
   Alcotest.(check bool) "node 5 not reached in 3 rounds" false states.(5)
 
 let test_non_neighbor_rejected () =
@@ -154,10 +154,9 @@ let test_message_counter () =
           ((), List.map (fun v -> (v, ())) (Graph.neighbors g node)));
     }
   in
-  Sync_net.reset_counters ();
-  ignore (Sync_net.run ~graph:g ~rng ~rounds:2 ~logic);
+  let _, messages = Sync_net.run ~graph:g ~rng ~rounds:2 ~logic in
   (* 4 nodes x 3 neighbors x 2 rounds. *)
-  Alcotest.(check int) "messages" 24 (Sync_net.messages_sent ())
+  Alcotest.(check int) "messages" 24 messages
 
 let test_deterministic_execution () =
   let g = Graph.cycle 5 in
@@ -171,7 +170,7 @@ let test_deterministic_execution () =
             (state + List.fold_left ( + ) (Dut_prng.Rng.int coins 10) inbox, []));
       }
     in
-    Sync_net.run ~graph:g ~rng ~rounds:3 ~logic
+    fst (Sync_net.run ~graph:g ~rng ~rounds:3 ~logic)
   in
   Alcotest.(check (array int)) "same seed, same states" (run 5) (run 5)
 
@@ -225,6 +224,20 @@ let test_local_tester_single_node () =
   let r = Local_tester.run t rng (Dut_protocol.Network.uniform_source ~n) in
   Alcotest.(check int) "no messages" 0 r.messages;
   Alcotest.(check bool) "decides" true r.all_agree
+
+let test_local_tester_concurrent_message_counts () =
+  (* Runs on two domains at once: each result counts only its own
+     execution, one count and one verdict per tree edge. *)
+  let graph = Graph.grid 4 4 and n = 64 and rng = Dut_prng.Rng.create 208 in
+  let t =
+    Local_tester.make ~graph ~n ~eps:0.3 ~q:40 ~calibration_trials:50
+      ~rng:(Dut_prng.Rng.split rng)
+  in
+  let run r = Local_tester.run t r (Dut_protocol.Network.uniform_source ~n) in
+  Array.iter
+    (fun (r : Local_tester.result) ->
+      Alcotest.(check int) "messages = 2(k-1)" (2 * (Graph.n graph - 1)) r.messages)
+    (Dut_engine.Parallel.map ~jobs:2 run (Dut_prng.Rng.split_n rng 64))
 
 let test_local_tester_errors () =
   let rng = Dut_prng.Rng.create 207 in
@@ -362,6 +375,8 @@ let () =
         [
           Alcotest.test_case "power and costs" `Slow test_local_tester_power_and_costs;
           Alcotest.test_case "single node" `Quick test_local_tester_single_node;
+          Alcotest.test_case "concurrent message counts" `Quick
+            test_local_tester_concurrent_message_counts;
           Alcotest.test_case "errors" `Quick test_local_tester_errors;
         ] );
       ( "gossip",

@@ -74,6 +74,39 @@ let prop_words_within_budget =
       Sketch.words_used sa <= budget
       && Sketch.words_used (Sketch.merge sa sb) <= budget)
 
+(* The bound on fixed configurations beyond the generator's n <= 128:
+   the budget ladder at n = 256 (exact histogram, hashed 72 and 24, AMS
+   40 and 16) and the [dut stream] default (n = 4096, exact histogram),
+   on every chunk sketch of an ingest and on their merge. *)
+let test_words_within_budget_fixed () =
+  List.iter
+    (fun (kind, n, budget) ->
+      let cfg = Sketch.config ~kind ~n ~budget_words:budget ~seed:2019 in
+      let chunks = ref [] in
+      let ing =
+        Ingest.create ~jobs:1 ~chunk:1024
+          ~on_chunk:(fun sk -> chunks := sk :: !chunks)
+          cfg
+      in
+      let rng = Rng.create n in
+      Ingest.feed_array ing (Array.init 4096 (fun _ -> Rng.int rng n));
+      Ingest.flush ing;
+      let merged = List.fold_left Sketch.merge (Sketch.create cfg) !chunks in
+      List.iter
+        (fun sk ->
+          if Sketch.words_used sk > budget then
+            Alcotest.failf "%s n=%d: %d words exceed the budget of %d"
+              (Sketch.kind_to_string kind) n (Sketch.words_used sk) budget)
+        (merged :: !chunks))
+    [
+      (Sketch.Hist, 256, Sketch.exact_budget ~n:256);
+      (Sketch.Hist, 256, 72);
+      (Sketch.Hist, 256, 24);
+      (Sketch.Ams, 256, 40);
+      (Sketch.Ams, 256, 16);
+      (Sketch.Hist, 4096, Sketch.exact_budget ~n:4096);
+    ]
+
 (* -- config edges -------------------------------------------------------- *)
 
 let test_config_validation () =
@@ -336,6 +369,8 @@ let () =
       ( "sketch",
         [
           Alcotest.test_case "config validation" `Quick test_config_validation;
+          Alcotest.test_case "words within budget on fixed configs" `Quick
+            test_words_within_budget_fixed;
           Alcotest.test_case "excess centering" `Quick test_excess_centering;
         ] );
       ( "ingest",

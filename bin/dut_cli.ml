@@ -130,8 +130,9 @@ let resume_arg =
     & info [ "resume" ]
         ~doc:
           "Replay experiments whose checkpoint under results/checkpoints/ \
-           matches this run's profile, seed, trials, flags and git state \
-           byte-identically; re-run only missing, failed or stale ones.")
+           matches this run's profile, seed, trials and flags, written by a \
+           binary built from the same sources; re-run only missing, failed \
+           or stale ones.")
 
 module Runner = Dut_experiments.Runner
 
@@ -186,8 +187,9 @@ let with_obs ~trace ~metrics ?sample_interval_ms
 
 (* Failure isolation means the process must carry the verdict: 130 for
    an interrupted run (the shell convention for SIGINT), 1 when any
-   experiment failed, 0 otherwise — with a one-line stderr summary, so
-   scripted callers see why without parsing stdout. *)
+   experiment failed, 0 otherwise — with a stderr summary, so scripted
+   callers see why without parsing stdout. Backtraces go there too:
+   stdout's # ERROR blocks carry only the exception. *)
 let exit_of_report (report : Runner.report) =
   let outcomes = report.Runner.experiments in
   let n_failed = List.length (List.filter Runner.failed outcomes) in
@@ -207,6 +209,13 @@ let exit_of_report (report : Runner.report) =
   else if n_failed > 0 then begin
     Printf.eprintf "dut: %d of %d experiments failed (see # ERROR blocks)\n%!"
       n_failed (List.length outcomes);
+    List.iter
+      (fun (o : Runner.outcome) ->
+        match o.status with
+        | Runner.Failed { exn; backtrace } ->
+            Printf.eprintf "dut: %s: %s\n%s%!" o.id exn backtrace
+        | _ -> ())
+      outcomes;
     1
   end
   else 0
@@ -285,7 +294,8 @@ let run_all_cmd =
           with_obs ~trace ~metrics ?sample_interval_ms ~timeline_path
             ~command:"run-all" ~cfg (fun () ->
               Runner.run_all_to_channel ~csv ~timings:(not no_timings)
-                ~checkpoint_dir:Dut_experiments.Checkpoint.default_dir ~resume
+                ~checkpoint_dir:(Filename.concat "results" "checkpoints")
+                ~resume
                 ?timeout_s cfg stdout))
     in
     exit (exit_of_report report)
@@ -438,7 +448,7 @@ let serve_cmd =
       & opt string Dut_service.Server.default_summary_path
       & info [ "summary" ] ~docv:"FILE"
           ~doc:
-            "Session summary (schema dut-service/1), rewritten atomically \
+            "Session summary (schema dut-service/4), rewritten atomically \
              after every batch; readable live with $(b,dut obs-report \
              --manifest).")
   in
@@ -814,28 +824,28 @@ let report_counters m =
       Option.iter
         (fun f ->
           Printf.printf
-            "  WARNING: %.0f checkpoint write(s) failed — completed \
-             experiments were not persisted, so --resume will re-run them\n"
-            f)
-        (tally "checkpoint.write_failures");
-      Option.iter
-        (fun f ->
-          Printf.printf
-            "  WARNING: %.0f cache write(s) failed — served answers were \
-             not persisted and will recompute after restart\n"
+            "  WARNING: %.0f store write(s) failed — served answers or \
+             completed experiments were not persisted and will recompute\n"
             f)
         (tally "cache.write_failures");
       report_histograms m
   | _ -> raise (Dut_obs.Json.Malformed "counters: expected object")
 
-(* dut-service/1 and /2: the session summary `dut serve` rewrites after
+(* The code identity a manifest or summary was written under; files of
+   older schemas (which carried a git label instead) render as "?". *)
+let code_of m =
+  match Dut_obs.Json.field_opt m "code" with
+  | Some (Dut_obs.Json.Str c) -> c
+  | _ -> "?"
+
+(* dut-service/1 to /4: the session summary `dut serve` rewrites after
    every batch, so this renders live state while the server is running.
    The /2 additions (qps, latency percentiles, per-batch stats) degrade
    gracefully: absent fields simply print nothing. *)
 let report_service path m =
   let open Dut_obs in
-  Printf.printf "service %s (%s, git %s)\n" path (Json.want_str m "schema")
-    (Json.want_str m "git");
+  Printf.printf "service %s (%s, code %s)\n" path (Json.want_str m "schema")
+    (code_of m);
   Printf.printf "  status      %s\n" (Json.want_str m "status");
   Printf.printf "  socket      %s\n" (Json.want_str m "socket");
   Printf.printf "  jobs        %.0f   uptime %.1fs\n" (Json.want_num m "jobs")
@@ -882,15 +892,15 @@ let report_service path m =
   | _ -> ());
   report_counters m
 
-(* dut-service-fleet/1: the router's merged view of a sharded fleet —
+(* dut-service-fleet/1 and /2: the router's merged view of a sharded fleet —
    aggregate first (counters summed, latency merged exactly from the
    per-shard bucket arrays), then each worker's own dut-service
    summary, re-read from disk so a dead shard degrades to a one-line
    note instead of a render failure. *)
 let report_fleet path m =
   let open Dut_obs in
-  Printf.printf "fleet %s (%s, git %s)\n" path (Json.want_str m "schema")
-    (Json.want_str m "git");
+  Printf.printf "fleet %s (%s, code %s)\n" path (Json.want_str m "schema")
+    (code_of m);
   Printf.printf "  status      %s\n" (Json.want_str m "status");
   Printf.printf "  socket      %s\n" (Json.want_str m "socket");
   Printf.printf "  shards      %.0f   jobs %.0f per shard   uptime %.1fs\n"
@@ -983,8 +993,8 @@ let report_manifest path =
   | m -> (
       try
         let yn b = if b then "yes" else "no" in
-        Printf.printf "manifest %s (%s, git %s)\n" path (Json.want_str m "schema")
-          (Json.want_str m "git");
+        Printf.printf "manifest %s (%s, code %s)\n" path
+          (Json.want_str m "schema") (code_of m);
         Printf.printf "  command     %s\n" (Json.want_str m "command");
         (* status and jobs_requested arrived with dut-manifest/2; render
            a /1 manifest without them rather than failing on it. *)

@@ -51,8 +51,7 @@ val collision_prob : t -> float
 
 val product : t -> t -> t
 (** [product p q] is the independent joint on a universe of size
-    [size p * size q], with pair (a,b) at index a·(size q) + b — the
-    encoding {!Dut_testers.Independence} uses. *)
+    [size p * size q], with pair (a,b) at index a·(size q) + b. *)
 
 val map_support : t -> (int -> int) -> n:int -> t
 (** [map_support t f ~n] pushes the distribution forward through [f] into

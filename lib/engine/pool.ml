@@ -180,7 +180,15 @@ let create ~jobs =
       shut = false;
     }
   in
-  t.workers <- Array.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker t));
+  (* OCaml starts every domain with backtrace recording off; a worker
+     records exactly when its spawner does, so a failure's backtrace
+     does not depend on the domain that ran the task. *)
+  let record = Printexc.backtrace_status () in
+  t.workers <-
+    Array.init (jobs - 1) (fun _ ->
+        Domain.spawn (fun () ->
+            Printexc.record_backtrace record;
+            worker t));
   t
 
 let jobs t = t.jobs

@@ -26,7 +26,8 @@ val effective_jobs : int -> int
 val create : jobs:int -> t
 (** [create ~jobs] builds a pool of total parallelism
     [effective_jobs jobs] (the submitter plus the spawned worker
-    domains).
+    domains). Each worker records backtraces exactly when the calling
+    domain does ({!Printexc.backtrace_status}) at creation.
 
     @raise Invalid_argument if [jobs < 1] or [jobs > max_jobs]. *)
 

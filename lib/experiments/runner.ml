@@ -83,21 +83,17 @@ let add_header buf cfg (exp : Exp.t) =
     cfg.seed
 
 (* The `# ERROR` block an isolated failure renders in the experiment's
-   slot. The elapsed figure is gated on ~timings like every other
+   slot: the exception alone. Its backtrace depends on source line
+   numbers, so it travels in the outcome (the CLI prints it on stderr)
+   and stdout stays independent of both the schedule and the layout of
+   the code. The elapsed figure is gated on ~timings like every other
    wall-clock line, so --no-timings output stays byte-reproducible even
    for failing runs. *)
-let add_error_block buf ~timings ~elapsed (exp : Exp.t) ~exn_text ~backtrace =
+let add_error_block buf ~timings ~elapsed (exp : Exp.t) ~exn_text =
   if timings then
     Printf.bprintf buf "# ERROR in %s after %.1fs\n" exp.Exp.id elapsed
   else Printf.bprintf buf "# ERROR in %s\n" exp.Exp.id;
-  Printf.bprintf buf "# exception: %s\n" exn_text;
-  let lines =
-    List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' backtrace)
-  in
-  if lines = [] then
-    Buffer.add_string buf "#   (no backtrace recorded — run with OCAMLRUNPARAM=b)\n"
-  else List.iter (fun l -> Printf.bprintf buf "#   %s\n" l) lines;
-  Buffer.add_char buf '\n'
+  Printf.bprintf buf "# exception: %s\n\n" exn_text
 
 let render_to_buffer ?(csv = false) ~timings ?timeout_s cfg exp =
   Dut_obs.Span.with_ ~name:"experiment"
@@ -145,8 +141,7 @@ let render_to_buffer ?(csv = false) ~timings ?timeout_s cfg exp =
       (buf, elapsed, Ok)
   | Stdlib.Error (e, bt) ->
       let exn_text = describe_exn e in
-      add_error_block buf ~timings ~elapsed exp ~exn_text
-        ~backtrace:(Printexc.raw_backtrace_to_string bt);
+      add_error_block buf ~timings ~elapsed exp ~exn_text;
       (buf, elapsed, Failed { exn = exn_text; backtrace = Printexc.raw_backtrace_to_string bt })
 
 (* The slot of an experiment the interrupt handler kept from starting:
@@ -166,29 +161,51 @@ let run_to_channel ?csv ?(timings = true) ?timeout_s cfg exp channel =
   flush channel;
   { id = exp.Exp.id; seconds; status; resumed = false }
 
-let run_all_to_channel ?csv ?(timings = true) ?checkpoint_dir ?(resume = false)
-    ?timeout_s ?(experiments = Registry.all) cfg channel =
+(* -- Checkpoints ------------------------------------------------------- *)
+
+(* A checkpoint is one Dut_obs.Store entry. Its key text names the
+   experiment and every config field its bytes depend on, but not
+   jobs: outputs are jobs-invariant by the determinism contract, so a
+   checkpoint taken at --jobs 8 replays under --jobs 1. The store adds
+   the code identity. The payload is the recorded seconds on one line,
+   then the rendered bytes. *)
+let checkpoint_key ~csv ~timings (cfg : Config.t) (exp : Exp.t) =
+  let open Dut_obs.Json in
+  to_string
+    (Obj
+       [
+         ("checkpoint", Str exp.Exp.id);
+         ("profile", Str (Config.profile_to_string cfg.profile));
+         ("seed", int cfg.seed);
+         ("trials", int cfg.trials);
+         ("csv", Bool csv);
+         ("timings", Bool timings);
+         ("adaptive", Bool cfg.adaptive);
+         ("warm_start", Bool cfg.warm_start);
+       ])
+
+let load_checkpoint ~dir ~key =
+  Option.bind (Dut_obs.Store.find ~dir ~key) (fun payload ->
+      Option.bind (String.index_opt payload '\n') (fun i ->
+          Option.map
+            (fun seconds ->
+              (String.sub payload (i + 1) (String.length payload - i - 1), seconds))
+            (float_of_string_opt (String.sub payload 0 i))))
+
+let run_all_to_channel ?(csv = false) ?(timings = true) ?checkpoint_dir
+    ?(resume = false) ?timeout_s ?(experiments = Registry.all) cfg channel =
   (* Make Monte-Carlo loops inside a single experiment use cfg.jobs when
      experiments themselves run one at a time (jobs taken by the map
      below otherwise: nested calls fall back to inline execution). *)
   Dut_engine.Parallel.set_default_jobs cfg.Config.jobs;
   let started = Dut_obs.Span.now_ns () in
   let exps = Array.of_list experiments in
-  let key =
-    match checkpoint_dir with
-    | None -> None
-    | Some _ ->
-        Some
-          (Checkpoint.key_of_config
-             ~csv:(Option.value csv ~default:false)
-             ~timings cfg)
-  in
+  let keys = Array.map (checkpoint_key ~csv ~timings cfg) exps in
   (* Resume decisions are made up front, on the submitting domain, so
      the work the pool sees is exactly the missing/failed/stale set. *)
   let cached =
-    match (checkpoint_dir, key) with
-    | Some dir, Some key when resume ->
-        Array.map (fun e -> Checkpoint.load ~dir ~key e.Exp.id) exps
+    match checkpoint_dir with
+    | Some dir when resume -> Array.map (fun key -> load_checkpoint ~dir ~key) keys
     | _ -> Array.map (fun _ -> None) exps
   in
   let work i =
@@ -204,12 +221,15 @@ let run_all_to_channel ?csv ?(timings = true) ?checkpoint_dir ?(resume = false)
             render_interrupted cfg exp )
         else begin
           let buf, seconds, status =
-            render_to_buffer ?csv ~timings ?timeout_s cfg exp
+            render_to_buffer ~csv ~timings ?timeout_s cfg exp
           in
-          (match (checkpoint_dir, key, status) with
-          | Some dir, Some key, Ok ->
-              Checkpoint.save ~dir ~key ~id:exp.Exp.id ~seconds
-                (Buffer.contents buf)
+          (* Saved from the worker as soon as the experiment finishes,
+             so an interrupted run keeps everything it completed.
+             Failed experiments are never stored. *)
+          (match (checkpoint_dir, status) with
+          | Some dir, Ok ->
+              Dut_obs.Store.store ~dir ~key:keys.(i)
+                (Printf.sprintf "%h\n%s" seconds (Buffer.contents buf))
           | _ -> ());
           ({ id = exp.Exp.id; seconds; status; resumed = false }, buf)
         end

@@ -12,18 +12,27 @@
     raw wall clock.
 
     {b Failure isolation.} An experiment that raises does not abort the
-    run: its slot renders an [# ERROR] block (exception, backtrace, and
-    — unless [~timings:false] — elapsed time), the other experiments'
+    run: its slot renders an [# ERROR] block (the exception and —
+    unless [~timings:false] — elapsed time), the other experiments'
     output is byte-identical to a clean run's, and the failure is
     reported as a {!status} in the returned {!outcome}s so callers can
-    exit non-zero. A cooperative [?timeout_s] budget
+    exit non-zero. The backtrace rides in the {!Failed} status, never
+    in the output, so the bytes depend neither on the domain that ran
+    the experiment nor on source line numbers. A cooperative [?timeout_s] budget
     ({!Dut_engine.Deadline}) surfaces through the same path.
 
     {b Checkpoint/resume.} With [?checkpoint_dir], [run_all_to_channel]
-    persists each successful experiment's bytes through {!Checkpoint}
-    as soon as it completes; with [~resume:true] it replays matching
-    checkpoints byte-identically (marked [resumed]) and executes only
-    missing, failed or stale ones.
+    stores each successful experiment as one {!Dut_obs.Store} entry as
+    soon as it completes, from whichever domain ran it. The key text is
+    the experiment id plus every config field the bytes depend on —
+    profile, seed, trials, [csv], [timings], adaptive and warm-start,
+    but not jobs, since outputs are jobs-invariant — and the store adds
+    the code identity. The payload is the elapsed seconds plus the
+    rendered bytes. With [~resume:true] it replays matching entries
+    byte-identically (marked [resumed]) and executes only missing,
+    failed or stale ones. Failed experiments are never stored, and
+    under one key the first copy is kept (with [~timings:true], its
+    elapsed lines are the first run's).
 
     {b Interruption.} {!with_sigint_guard} converts the first
     SIGINT/SIGTERM into a flag ([a second one force-exits 130]):
@@ -42,7 +51,8 @@
 type status =
   | Ok  (** ran to completion (or replayed from a checkpoint) *)
   | Failed of { exn : string; backtrace : string }
-      (** raised; rendered as an [# ERROR] block in its slot *)
+      (** raised; [exn] is rendered as an [# ERROR] block in its slot,
+          [backtrace] (empty unless recording is on) only here *)
   | Interrupted  (** never started: SIGINT/SIGTERM arrived first *)
 
 type outcome = {

@@ -6,9 +6,10 @@ let push_sum ~graph ~rng ~values ~rounds =
   let value = Array.copy values in
   let weight = Array.make k 1. in
   let coins = Dut_prng.Rng.split_n rng k in
+  let next_value = Array.make k 0. and next_weight = Array.make k 0. in
   for _ = 1 to rounds do
-    let next_value = Array.make k 0. in
-    let next_weight = Array.make k 0. in
+    Array.fill next_value 0 k 0.;
+    Array.fill next_weight 0 k 0.;
     for v = 0 to k - 1 do
       let half_value = value.(v) /. 2. and half_weight = weight.(v) /. 2. in
       (* Keep half, push half to a uniformly random neighbor (or keep

@@ -1,13 +1,6 @@
 let default_path = Filename.concat "results" "manifest.json"
 
-let git_describe () =
-  try
-    let ic = Unix.open_process_in "git describe --always --dirty 2>/dev/null" in
-    let line = try input_line ic with End_of_file -> "" in
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when line <> "" -> line
-    | _ -> "unknown"
-  with _ -> "unknown"
+let code = Code_digest.sources ^ "+ocaml-" ^ Sys.ocaml_version
 
 type experiment = {
   id : string;
@@ -55,7 +48,7 @@ let make ~command ~profile ~seed ~jobs ~jobs_requested ~adaptive ~warm_start
   in
   Json.Obj
     ([
-       ("schema", Json.Str "dut-manifest/3");
+       ("schema", Json.Str "dut-manifest/4");
        ("command", Json.Str command);
        ("status", Json.Str (run_status experiments));
        ("profile", Json.Str profile);
@@ -72,7 +65,7 @@ let make ~command ~profile ~seed ~jobs ~jobs_requested ~adaptive ~warm_start
     @ [
         ("adaptive", Json.Bool adaptive);
         ("warm_start", Json.Bool warm_start);
-        ("git", Json.Str (git_describe ()));
+        ("code", Json.Str code);
         ("created_unix", Json.Num (Unix.time ()));
         ("wall_seconds", Json.Num wall_seconds);
         ("cpu_seconds", Json.Num cpu_seconds);
@@ -112,18 +105,16 @@ let rec pretty b indent v =
       Buffer.add_char b '}'
   | v -> Json.to_buffer b v
 
-let mkdir_p dir =
+let rec mkdir_p dir =
   if dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir && not (Sys.file_exists parent) then
-      (try Sys.mkdir parent 0o755 with Sys_error _ -> ());
+    mkdir_p (Filename.dirname dir);
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
 (* All-or-nothing file replacement: render next to the target and
    [Sys.rename] over it (atomic within one directory on POSIX), so a
    crash mid-write can truncate only the temp file, never the published
-   one. Shared by the manifest and the checkpoint store. *)
+   one. Shared by the manifest and the service summaries. *)
 let write_atomic ~path content =
   mkdir_p (Filename.dirname path);
   let dir = Filename.dirname path in

@@ -2,12 +2,13 @@
     what cost, under which code — and whether each experiment actually
     finished.
 
-    Schema ([dut-manifest/3]): [command], [status] (the run as a whole:
+    Schema ([dut-manifest/4]): [command], [status] (the run as a whole:
     ["ok"] | ["failed"] | ["interrupted"], interruption dominating
     failure), [profile], [seed], [jobs] (the {e effective} parallelism
     after the {!Dut_engine.Pool.effective_jobs} clamp) plus
     [jobs_requested] (present only when the clamp changed the request),
-    [adaptive], [warm_start], [git] (describe output or ["unknown"]),
+    [adaptive], [warm_start], [code] (the {!code} identity of the
+    binary; new in /4, in place of /3's [git]),
     [created_unix], [wall_seconds], [cpu_seconds] (summed
     per-experiment time over the work {e executed this run} — exceeds
     wall time under [--jobs]), [experiments] (array of
@@ -16,7 +17,7 @@
     counter totals for the jobs-invariant metrics are bit-equal across
     [--jobs] values, see [doc/observability.md]) and [histograms] (one
     {!Histogram.summary_json} object per non-empty registered histogram
-    — [pool.task_ns], [checkpoint.write_ns], … — merged across domains;
+    — [pool.task_ns], [memo.load_ns], … — merged across domains;
     new in /3).
 
     A run cut short by SIGINT/SIGTERM still writes a {e valid} partial
@@ -33,9 +34,13 @@
 val default_path : string
 (** ["results/manifest.json"]. *)
 
-val git_describe : unit -> string
-(** [git describe --always --dirty], or ["unknown"] when git or the
-    repository is unavailable. *)
+val code : string
+(** The code identity of this binary: the MD5 of the sources under
+    [lib/] and [bin/] it was built from, computed by a build rule (see
+    [lib/obs/dune]), followed by [+ocaml-] and [Sys.ocaml_version]. Two
+    checkouts of one tree share it; any edit to a source changes it.
+    {!Store} folds it into every key, so no stored answer outlives the
+    code that computed it. *)
 
 type experiment = {
   id : string;
@@ -58,16 +63,21 @@ val make :
   cpu_seconds:float ->
   experiments:experiment list ->
   Json.t
-(** Assemble the manifest object, stamping [git], [created_unix], the
+(** Assemble the manifest object, stamping [code], [created_unix], the
     derived run [status] and the current counter snapshot. [jobs] is
     the effective parallelism; [jobs_requested] the pre-clamp request
     (emitted only when the two differ). *)
+
+val mkdir_p : string -> unit
+(** Create a directory and any missing parents; an existing directory
+    is left as it is. Never raises: a directory that cannot be made
+    surfaces as the [Sys_error] of the write that needed it. *)
 
 val write_atomic : path:string -> string -> unit
 (** Write [content] to a temp file in [path]'s directory (created if
     needed) and [Sys.rename] it over [path]: readers observe either the
     old bytes or the new, never a truncated mix. Used for the manifest
-    and the checkpoint files.
+    and the service summaries.
 
     @raise Sys_error when the directory or file cannot be written. *)
 

@@ -1,5 +1,3 @@
-let schema = "dut-memo/1"
-
 let default_dir = Filename.concat "results" "memo"
 
 let m_hits = Dut_obs.Metrics.counter "cache.hits"
@@ -9,10 +7,6 @@ let m_misses = Dut_obs.Metrics.counter "cache.misses"
 let m_stores = Dut_obs.Metrics.counter "cache.stores"
 
 let m_evictions = Dut_obs.Metrics.counter "cache.evictions"
-
-let m_write_failures = Dut_obs.Metrics.counter "cache.write_failures"
-
-let m_store_races = Dut_obs.Metrics.counter "cache.store_races"
 
 (* Lookup and persist latency, hit or miss: the cost of asking the
    cache is what a caller pays either way, and the disk tier dominating
@@ -66,102 +60,6 @@ let put_front t ~key payload =
     Hashtbl.add t.table key e
   end
 
-(* -- Disk tier ---------------------------------------------------------- *)
-
-let path_of_key ~dir key =
-  Filename.concat dir (Digest.to_hex (Digest.string key) ^ ".json")
-
-let header ~key ~bytes =
-  Dut_obs.Json.Obj
-    [
-      ("schema", Dut_obs.Json.Str schema);
-      ("key", Dut_obs.Json.Str key);
-      ("bytes", Dut_obs.Json.int bytes);
-    ]
-
-(* [None] on any malformation or key mismatch: an entry that cannot be
-   proven to answer exactly this key is treated as absent — the hash
-   collision / corruption path costs a recomputation, never a wrong
-   byte. *)
-let disk_find ~dir key =
-  let file = path_of_key ~dir key in
-  match
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let header_line = input_line ic in
-        let rest_len = in_channel_length ic - pos_in ic in
-        (header_line, really_input_string ic rest_len))
-  with
-  | exception (Sys_error _ | End_of_file) -> None
-  | header_line, payload -> (
-      match Dut_obs.Json.parse header_line with
-      | exception Dut_obs.Json.Malformed _ -> None
-      | j -> (
-          let open Dut_obs.Json in
-          match
-            want_str j "schema" = schema
-            && want_str j "key" = key
-            && int_of_float (want_num j "bytes") = String.length payload
-          with
-          | exception Malformed _ -> None
-          | false -> None
-          | true -> Some payload))
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-(* Write-once publication: the content lands in a private temp file and
-   is published with [Unix.link], which fails with EEXIST if any other
-   process (another shard of the fleet) already published the key. The
-   loser's bytes are discarded — both writers computed the same
-   canonical answer, so either copy serves — and the collision is
-   tallied as [cache.store_races], never as a write failure. link keeps
-   write_atomic's guarantee too: readers see a complete entry or none. *)
-let publish_once ~path content =
-  let dir = Filename.dirname path in
-  mkdir_p dir;
-  let tmp = Filename.temp_file ~temp_dir:dir "memo" ".tmp" in
-  let remove_tmp () = try Sys.remove tmp with Sys_error _ -> () in
-  match
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc content);
-    Unix.link tmp path
-  with
-  | () ->
-      remove_tmp ();
-      `Won
-  | exception Unix.Unix_error (Unix.EEXIST, _, _) ->
-      remove_tmp ();
-      `Lost
-  | exception (Unix.Unix_error _ | Sys_error _) ->
-      remove_tmp ();
-      `Failed
-
-let disk_store ~dir ~key payload =
-  let path = path_of_key ~dir key in
-  if Sys.file_exists path then
-    (* Another process published this key since our lookup missed. *)
-    Dut_obs.Metrics.incr m_store_races
-  else
-    let content =
-      Dut_obs.Json.to_string (header ~key ~bytes:(String.length payload))
-      ^ "\n" ^ payload
-    in
-    match publish_once ~path content with
-    | `Won -> ()
-    | `Lost -> Dut_obs.Metrics.incr m_store_races
-    | `Failed ->
-        Dut_obs.Metrics.incr m_write_failures;
-        Printf.eprintf "dut: cannot persist memo entry: %s\n%!" path
-
 (* -- Public API --------------------------------------------------------- *)
 
 let find t ~key =
@@ -173,7 +71,7 @@ let find t ~key =
         Dut_obs.Metrics.incr m_hits;
         Some e.payload
     | None -> (
-        match Option.bind t.dir (fun dir -> disk_find ~dir key) with
+        match Option.bind t.dir (fun dir -> Dut_obs.Store.find ~dir ~key) with
         | Some payload ->
             put_front t ~key payload;
             Dut_obs.Metrics.incr m_hits;
@@ -189,5 +87,5 @@ let store t ~key payload =
   let started = Dut_obs.Span.now_ns () in
   Dut_obs.Metrics.incr m_stores;
   put_front t ~key payload;
-  (match t.dir with Some dir -> disk_store ~dir ~key payload | None -> ());
+  Option.iter (fun dir -> Dut_obs.Store.store ~dir ~key payload) t.dir;
   Dut_obs.Metrics.observe h_store_ns (Dut_obs.Span.now_ns () - started)

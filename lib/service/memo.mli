@@ -1,37 +1,29 @@
-(** Persistent, content-addressed result cache for the query server.
+(** The query server's result cache: a bounded in-memory LRU front
+    over the content-addressed file store {!Dut_obs.Store}.
 
-    Generalises the checkpoint store's key discipline: the key {e text}
-    is the query's canonical JSON plus the provenance stamp (git
-    describe), so everything the answer depends on — parameters, seed,
-    trials, adaptive/warm-start, code version — is in the key, and a
-    hit can be replayed byte for byte. Keys are hashed (MD5, hex) into
-    file names; the key text is stored alongside the payload and
-    verified on load, so a hash collision degrades to a miss, never to
-    a wrong answer.
+    The key text is the query's canonical JSON ({!Query.canonical}),
+    which names everything the answer depends on: kind, parameters,
+    seed, trials and adaptive/warm-start. The store folds the code
+    identity {!Dut_obs.Manifest.code} into every key on disk, so an
+    entry written by other sources is a miss and a hit replays, byte
+    for byte, what the current code computes.
 
     Two tiers:
     - an in-memory LRU front (bounded; [cache.evictions] counts
-      overflow), and
-    - an optional on-disk store (one file per key under [dir], written
-      once: the content lands in a temp file and is published with
-      [Unix.link], so a crash can never expose a truncated entry and
-      concurrent stores of the same key — shards of a fleet sharing
-      [dir] — leave exactly one intact winner; a malformed or
-      mismatched file reads as a miss).
+      overflow), which lives as long as the process and so never
+      outlives its code, and
+    - an optional on-disk tier under [dir]: {!Dut_obs.Store} entries,
+      written once, shared safely by every shard of a fleet; a
+      malformed or mismatched file reads as a miss.
 
-    Lookups tally [cache.hits] / [cache.misses]; stores tally
-    [cache.stores], and a store that loses the write-once race (or
-    finds the key already published) tallies [cache.store_races] — a
-    benign event, both writers held byte-identical payloads. The cache
-    is {e not} thread-safe within a process: the server calls it only
+    Lookups tally [cache.hits] / [cache.misses] and stores
+    [cache.stores]; the disk tier adds [cache.store_races] and
+    [cache.write_failures] (see {!Dut_obs.Store.store}). The front is
+    {e not} thread-safe within a process: the server calls it only
     from the submitting domain (lookups before a batch is dispatched,
-    stores after it joins); cross-{e process} sharing of [dir] is safe
-    by the write-once discipline. *)
+    stores after it joins). *)
 
 type t
-
-val schema : string
-(** ["dut-memo/1"], the header schema of on-disk entries. *)
 
 val default_dir : string
 (** ["results/memo"]. *)
@@ -48,11 +40,9 @@ val find : t -> key:string -> string option
 
 val store : t -> key:string -> string -> unit
 (** Publish [payload] under [key] in both tiers. The disk tier is
-    write-once: if another process already published the key, the store
-    is a counted no-op ([cache.store_races]) and the existing file is
-    left untouched. A disk-tier write failure (read-only or full disk)
-    degrades to a one-line stderr warning and a [cache.write_failures]
-    tally: the server keeps answering, merely without persistence. *)
+    write-once ({!Dut_obs.Store.store}): a key another process already
+    published keeps its file, and a write failure costs persistence,
+    never an answer. *)
 
 val entries : t -> int
 (** Number of payloads in the in-memory front (tests). *)

@@ -26,7 +26,7 @@ let m_rejected = Dut_obs.Metrics.counter "service.rejected"
    the ROADMAP gates on reads the p95/p99 of exactly this histogram. *)
 let h_request_ns = Dut_obs.Metrics.histogram "service.request_ns"
 
-(* Statistics of the most recent batch, for the dut-service/2 summary.
+(* Statistics of the most recent batch, for the session summary.
    Written by handle_batch on the submitting domain and read when the
    summary is assembled (same domain in the serve loop), so a plain ref
    suffices. *)
@@ -55,8 +55,7 @@ let kind_of (r : Query.request) =
    deadline) and returns an error payload: a task that raised would
    fast-fail the whole pool job, which is exactly the blast radius the
    per-request isolation contract rules out. *)
-let handle_batch ?cache ?deadline_s ?(stamp = "") ~jobs
-    (requests : Query.request array) =
+let handle_batch ?cache ?deadline_s ~jobs (requests : Query.request array) =
   let n = Array.length requests in
   Dut_obs.Metrics.add m_requests n;
   Dut_obs.Metrics.incr m_batches;
@@ -64,7 +63,7 @@ let handle_batch ?cache ?deadline_s ?(stamp = "") ~jobs
     Array.map
       (fun (r : Query.request) ->
         match r.query with
-        | Ok q -> Some (Query.canonical q ^ "\n" ^ stamp)
+        | Ok q -> Some (Query.canonical q)
         | Error _ -> None)
       requests
   in
@@ -159,7 +158,7 @@ let ratio hits misses =
   if total = 0 then J.Null
   else J.Num (float_of_int hits /. float_of_int total)
 
-let summary ?shard ~config ~status ~git ~created_unix ~started_ns () =
+let summary ?shard ~config ~status ~created_unix ~started_ns () =
   let count name = J.int (Dut_obs.Metrics.value name) in
   let counters =
     List.map
@@ -199,7 +198,7 @@ let summary ?shard ~config ~status ~git ~created_unix ~started_ns () =
   in
   J.Obj
     ([
-       ("schema", J.Str "dut-service/3");
+       ("schema", J.Str "dut-service/4");
        ("command", J.Str "serve");
        ("status", J.Str status);
        ("socket", J.Str config.socket);
@@ -208,7 +207,7 @@ let summary ?shard ~config ~status ~git ~created_unix ~started_ns () =
      ]
     @ (match shard with Some s -> [ ("shard", J.int s) ] | None -> [])
     @ [
-      ("git", J.Str git);
+      ("code", J.Str Dut_obs.Manifest.code);
       ("created_unix", J.Num created_unix);
       ("uptime_seconds", J.Num uptime_seconds);
       ("requests", count "service.requests");
@@ -239,9 +238,9 @@ let summary ?shard ~config ~status ~git ~created_unix ~started_ns () =
       ("histograms", J.Obj histograms);
     ])
 
-let write_summary ?shard ~config ~status ~git ~created_unix ~started_ns () =
+let write_summary ?shard ~config ~status ~created_unix ~started_ns () =
   let content =
-    J.to_string (summary ?shard ~config ~status ~git ~created_unix ~started_ns ())
+    J.to_string (summary ?shard ~config ~status ~created_unix ~started_ns ())
     ^ "\n"
   in
   try Dut_obs.Manifest.write_atomic ~path:config.summary_path content
@@ -362,11 +361,10 @@ let serve ?shard config =
    with Invalid_argument _ | Sys_error _ -> ());
   Dut_engine.Parallel.set_default_jobs config.jobs;
   let listener = bind_listener config.socket in
-  let git = Dut_obs.Manifest.git_describe () in
   let created_unix = Unix.time () in
   let started_ns = Dut_obs.Span.now_ns () in
   let publish status =
-    write_summary ?shard ~config ~status ~git ~created_unix ~started_ns ()
+    write_summary ?shard ~config ~status ~created_unix ~started_ns ()
   in
   publish "serving";
   Printf.eprintf "dut: serving on %s (jobs=%d%s)\n%!" config.socket config.jobs
@@ -433,7 +431,7 @@ let serve ?shard config =
             let requests = Array.of_list (List.map snd batch) in
             let responses =
               handle_batch ?cache:config.cache ?deadline_s:config.deadline_s
-                ~stamp:git ~jobs:config.jobs requests
+                ~jobs:config.jobs requests
             in
             (* Publish the refreshed summary before the responses go
                out: once a client has its answer, `dut obs-report`

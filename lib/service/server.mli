@@ -22,8 +22,9 @@
       [error] response (tallied as [service.rejected]) instead of
       growing the queue without bound.
     - {e memoization}: with a {!Memo} cache attached, [ok] responses are
-      stored under the query's canonical form + git stamp and replayed
-      byte-identically on the next ask ([cache.hits]/[cache.misses]).
+      stored under the query's canonical form (the store adds the code
+      identity) and replayed byte-identically on the next ask
+      ([cache.hits]/[cache.misses]).
     - {e graceful shutdown}: the loop runs under
       {!Dut_experiments.Runner.with_sigint_guard} — the first
       SIGINT/SIGTERM finishes the in-flight batch, flushes responses,
@@ -37,10 +38,12 @@
     unterminated tail of its input buffer is flushed through the line
     semantics on EOF before the connection is reaped.
 
-    The session summary ([summary_path], schema [dut-service/3]) is
+    The session summary ([summary_path], schema [dut-service/4]) is
     rewritten atomically after every batch, so a live server can be
     inspected with [dut obs-report --manifest] at any time. Beyond the
-    session counters it carries [qps] (requests over uptime),
+    session counters it carries [code] (the binary's
+    {!Dut_obs.Manifest.code}, new in /4 in place of [git]), [qps]
+    (requests over uptime),
     [latency_ns] (the {!Dut_obs.Histogram.summary_json} of
     [service.request_ns]: p50/p90/p95/p99/max per-request latency),
     [cache_hit_ratio], and [last_batch] — the same quartet computed for
@@ -67,16 +70,10 @@ val default_summary_path : string
 (** ["results/service_manifest.json"]. *)
 
 val handle_batch :
-  ?cache:Memo.t ->
-  ?deadline_s:float ->
-  ?stamp:string ->
-  jobs:int ->
-  Query.request array ->
-  string array
+  ?cache:Memo.t -> ?deadline_s:float -> jobs:int -> Query.request array -> string array
 (** Evaluate one batch: response lines in request order, one per
-    request, never raising. [stamp] is the provenance suffix of the
-    memo key (the server passes its git describe). Exposed for tests;
-    {!serve} is this in a socket loop. *)
+    request, never raising. Exposed for tests; {!serve} is this in a
+    socket loop. *)
 
 val prepare_socket : string -> unit
 (** Make [path] bindable: a missing path is fine, a stale socket file

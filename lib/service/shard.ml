@@ -1,6 +1,6 @@
 module J = Dut_obs.Json
 
-let fleet_schema = "dut-service-fleet/1"
+let fleet_schema = "dut-service-fleet/2"
 
 (* Router-side tallies. [shard.routed] counts requests forwarded to a
    worker; the rest are answered at the router itself: parse failures
@@ -78,7 +78,7 @@ let shard_summary base i = Printf.sprintf "%s.shard%d" base i
 
 (* -- In-process routing model (the spec the socket router implements) --- *)
 
-let route_batch ?caches ?deadline_s ?stamp ~jobs ~shards
+let route_batch ?caches ?deadline_s ~jobs ~shards
     (requests : Query.request array) =
   let ring = ring ~shards in
   let n = Array.length requests in
@@ -107,7 +107,7 @@ let route_batch ?caches ?deadline_s ?stamp ~jobs ~shards
         let cache =
           match caches with Some a -> a.(s) | None -> None
         in
-        let resp = Server.handle_batch ?cache ?deadline_s ?stamp ~jobs sub in
+        let resp = Server.handle_batch ?cache ?deadline_s ~jobs sub in
         List.iteri (fun j i -> responses.(i) <- resp.(j)) idxs
   done;
   Array.iteri
@@ -210,7 +210,7 @@ let num_field j name =
   | Some (J.Num f) when Float.is_integer f -> int_of_float f
   | _ -> 0
 
-let fleet_summary ~(config : Server.config) ~status ~git ~created_unix
+let fleet_summary ~(config : Server.config) ~status ~created_unix
     ~started_ns ~workers =
   let uptime_seconds =
     float_of_int (Dut_obs.Span.now_ns () - started_ns) /. 1e9
@@ -258,7 +258,7 @@ let fleet_summary ~(config : Server.config) ~status ~git ~created_unix
       ("shards", J.int (List.length workers));
       ("jobs", J.int config.Server.jobs);
       ("pid", J.int (Unix.getpid ()));
-      ("git", J.Str git);
+      ("code", J.Str Dut_obs.Manifest.code);
       ("created_unix", J.Num created_unix);
       ("uptime_seconds", J.Num uptime_seconds);
       ( "router",
@@ -310,11 +310,10 @@ let fleet_summary ~(config : Server.config) ~status ~git ~created_unix
           ] );
     ]
 
-let write_fleet_summary ~config ~status ~git ~created_unix ~started_ns ~workers
-    =
+let write_fleet_summary ~config ~status ~created_unix ~started_ns ~workers =
   let content =
     J.to_string
-      (fleet_summary ~config ~status ~git ~created_unix ~started_ns ~workers)
+      (fleet_summary ~config ~status ~created_unix ~started_ns ~workers)
     ^ "\n"
   in
   try
@@ -372,7 +371,6 @@ let serve_fleet ~shards (config : Server.config) =
     (* Claim the public path before forking: a second fleet racing for
        the same socket must refuse before it spawns anything. *)
     let listener = Server.bind_listener config.Server.socket in
-    let git = Dut_obs.Manifest.git_describe () in
     let created_unix = Unix.time () in
     let started_ns = Dut_obs.Span.now_ns () in
     (* Workers fork before the parent touches any engine state: OCaml 5
@@ -443,7 +441,7 @@ let serve_fleet ~shards (config : Server.config) =
     let publish ?(force = false) status =
       let now = Unix.gettimeofday () in
       if force || (!dirty && now -. !last_publish > 0.25) then begin
-        write_fleet_summary ~config ~status ~git ~created_unix ~started_ns
+        write_fleet_summary ~config ~status ~created_unix ~started_ns
           ~workers;
         dirty := false;
         last_publish := now
@@ -683,7 +681,7 @@ let serve_fleet ~shards (config : Server.config) =
       (fun pid ->
         try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
       pids;
-    write_fleet_summary ~config ~status:"closed" ~git ~created_unix ~started_ns
+    write_fleet_summary ~config ~status:"closed" ~created_unix ~started_ns
       ~workers;
     Printf.eprintf "dut: fleet drained — summary at %s\n%!"
       config.Server.summary_path

@@ -7,13 +7,13 @@
     same shard (across runs, shard processes, and client
     interleavings), and growing the fleet from N to N+1 shards remaps
     only ~1/(N+1) of the keyspace. Because the memo key is the
-    canonical bytes plus the git stamp, shards agree by construction
-    and can share one on-disk store — {!Memo}'s write-once discipline
-    makes the concurrent stores safe.
+    canonical bytes (the store adds the code identity), shards agree
+    by construction and can share one on-disk store — the write-once
+    discipline of {!Dut_obs.Store} makes the concurrent stores safe.
 
     The fleet is one router process (the one that ran [dut serve]) plus
     N forked workers, each a complete {!Server.serve} loop on
-    [socket ^ ".shardI"], publishing its own [dut-service/3] summary at
+    [socket ^ ".shardI"], publishing its own [dut-service/4] summary at
     [summary_path ^ ".shardI"]. The router owns the public socket,
     assigns fleet-unique ids to forwarded requests and splices the
     client's id back into each response — byte-identical to what a
@@ -32,12 +32,13 @@
     signal to every worker, relays the drained responses (10s grace),
     fills anything still unanswered with an [error] response, reaps the
     workers and writes the final fleet summary (schema
-    [dut-service-fleet/1]: router counters, per-worker status, and an
-    aggregate over the worker summaries with the latency histograms
-    merged exactly from their [latency_buckets]). *)
+    [dut-service-fleet/2]: the [code] identity, router counters,
+    per-worker status, and an aggregate over the worker summaries with
+    the latency histograms merged exactly from their
+    [latency_buckets]). *)
 
 val fleet_schema : string
-(** ["dut-service-fleet/1"]. *)
+(** ["dut-service-fleet/2"]. *)
 
 val shard_of_key : shards:int -> string -> int
 (** Ring lookup for a canonical key: which of [shards] workers owns it.
@@ -52,7 +53,6 @@ val shard_summary : string -> int -> string
 val route_batch :
   ?caches:Memo.t option array ->
   ?deadline_s:float ->
-  ?stamp:string ->
   jobs:int ->
   shards:int ->
   Query.request array ->

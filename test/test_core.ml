@@ -618,55 +618,6 @@ let test_rule_search_value_grows_with_q () =
   in
   Alcotest.(check bool) "more samples help" true (value 4 >= value 1 -. 1e-9)
 
-(* -- Amplify -------------------------------------------------------------- *)
-
-let test_amplify_errors () =
-  let t = perfect_tester in
-  Alcotest.check_raises "even rounds"
-    (Invalid_argument "Amplify.wrap: rounds must be positive and odd") (fun () ->
-      ignore (Dut_core.Amplify.wrap ~rounds:4 t))
-
-let test_amplify_error_bound_shape () =
-  Alcotest.(check bool) "decreasing in rounds" true
-    (Dut_core.Amplify.error_bound ~rounds:9 ~round_error:0.3
-    < Dut_core.Amplify.error_bound ~rounds:3 ~round_error:0.3);
-  Alcotest.(check (float 1e-9)) "useless at 1/2" 1.
-    (Dut_core.Amplify.error_bound ~rounds:99 ~round_error:0.5)
-
-let test_amplify_rounds_for () =
-  let r = Dut_core.Amplify.rounds_for ~target_error:0.01 ~round_error:(1. /. 3.) in
-  Alcotest.(check bool) "odd" true (r mod 2 = 1);
-  Alcotest.(check bool) "achieves target" true
-    (Dut_core.Amplify.error_bound ~rounds:r ~round_error:(1. /. 3.) <= 0.01);
-  Alcotest.(check bool) "minimal" true
-    (r = 1
-    || Dut_core.Amplify.error_bound ~rounds:(r - 2) ~round_error:(1. /. 3.) > 0.01)
-
-let test_amplify_improves_marginal_tester () =
-  (* A tester with ~75% per-round success: majority-of-9 should be
-     measurably better on both sides. *)
-  let ell = 5 in
-  let n = 1 lsl (ell + 1) in
-  let eps = 0.3 in
-  let rng = Dut_prng.Rng.create 137 in
-  let weak =
-    {
-      Dut_core.Evaluate.name = "weak";
-      accepts =
-        (fun rng source ->
-          let samples = Array.init 250 (fun _ -> source rng) in
-          Dut_testers.Collision.test ~n ~eps samples);
-    }
-  in
-  let strong = Dut_core.Amplify.wrap ~rounds:9 weak in
-  let pw = Dut_core.Evaluate.measure ~trials:80 ~rng:(Dut_prng.Rng.split rng) ~ell ~eps weak in
-  let ps = Dut_core.Evaluate.measure ~trials:80 ~rng:(Dut_prng.Rng.split rng) ~ell ~eps strong in
-  let score (p : Dut_core.Evaluate.power) =
-    Float.min p.uniform_accept.estimate p.far_reject.estimate
-  in
-  Alcotest.(check bool) "amplification helps" true (score ps >= score pw);
-  Alcotest.(check bool) "amplified is reliable" true (score ps >= 0.85)
-
 let () =
   Alcotest.run "dut_core"
     [
@@ -768,13 +719,5 @@ let () =
             test_rule_search_matches_truth_table_brute_force;
           Alcotest.test_case "value grows with q" `Quick
             test_rule_search_value_grows_with_q;
-        ] );
-      ( "amplify",
-        [
-          Alcotest.test_case "errors" `Quick test_amplify_errors;
-          Alcotest.test_case "bound shape" `Quick test_amplify_error_bound_shape;
-          Alcotest.test_case "rounds_for" `Quick test_amplify_rounds_for;
-          Alcotest.test_case "improves marginal tester" `Slow
-            test_amplify_improves_marginal_tester;
         ] );
     ]

@@ -19,7 +19,6 @@ module Config = Dut_experiments.Config
 module Exp = Dut_experiments.Exp
 module Table = Dut_experiments.Table
 module Runner = Dut_experiments.Runner
-module Checkpoint = Dut_experiments.Checkpoint
 
 let counter name =
   let before = Metrics.value name in
@@ -64,6 +63,38 @@ let test_pooled_cancellation () =
       (claimed () + cancelled ());
     Alcotest.(check bool) "failure cancelled unclaimed work" true
       (cancelled () > 0)
+  end
+
+(* A task that fails on a worker domain records a backtrace whenever
+   the spawner records one: workers inherit the setting at creation. *)
+let test_worker_backtrace () =
+  if Domain.recommended_domain_count () < 2 then ()
+  else begin
+    let was = Printexc.backtrace_status () in
+    Printexc.record_backtrace true;
+    Fun.protect ~finally:(fun () -> Printexc.record_backtrace was) @@ fun () ->
+    let pool = Pool.create ~jobs:2 in
+    Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+    let submitter = Domain.self () in
+    let started = Atomic.make 0 in
+    let on_worker = Atomic.make None in
+    let give_up = Unix.gettimeofday () +. 10. in
+    (* Each task waits until both have started, so exactly one runs on
+       the worker; that one fails and keeps what it recorded. *)
+    Pool.run pool ~tasks:2 (fun _ ->
+        Atomic.incr started;
+        while Atomic.get started < 2 && Unix.gettimeofday () < give_up do
+          Domain.cpu_relax ()
+        done;
+        if Domain.self () <> submitter then
+          try failwith "worker failure"
+          with Failure _ ->
+            Atomic.set on_worker
+              (Some (Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ()))));
+    match Atomic.get on_worker with
+    | None -> Alcotest.fail "no task ran on the worker"
+    | Some bt ->
+        Alcotest.(check bool) "backtrace recorded on the worker" true (bt <> "")
   end
 
 (* -- Deadline: cooperative --timeout-s ---------------------------------- *)
@@ -262,21 +293,36 @@ let test_timeout_surfaces_as_failure () =
 
 (* -- Checkpoint/resume -------------------------------------------------- *)
 
+(* The store's entry files in [dir], read whole. *)
+let entries dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun f ->
+         In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)
+
+let rewrite_entries dir f =
+  Array.iter
+    (fun name ->
+      let path = Filename.concat dir name in
+      let content = In_channel.with_open_bin path In_channel.input_all in
+      Out_channel.with_open_bin path (fun oc -> output_string oc (f content)))
+    (Sys.readdir dir)
+
+let resumed report =
+  List.filter (fun o -> o.Runner.resumed) report.Runner.experiments
+
 let test_checkpoint_resume_identical () =
   let dir = temp_dir "dut_ck_clean" in
-  let _, first = run_all ~checkpoint_dir:dir () in
-  List.iter
-    (fun id ->
-      Alcotest.(check bool) ("checkpoint written for " ^ id) true
-        (Sys.file_exists (Checkpoint.path ~dir id)))
-    ids;
-  let report, resumed = run_all ~checkpoint_dir:dir ~resume:true () in
-  Alcotest.(check string) "resume replays byte-identically" first resumed;
-  List.iter
-    (fun o ->
-      Alcotest.(check bool) ("replayed " ^ o.Runner.id) true
-        o.Runner.resumed)
-    report.Runner.experiments;
+  let first_report, first = run_all ~checkpoint_dir:dir () in
+  Alcotest.(check int) "one entry per experiment" (List.length ids)
+    (List.length (entries dir));
+  let report, replayed = run_all ~checkpoint_dir:dir ~resume:true () in
+  Alcotest.(check string) "resume replays byte-identically" first replayed;
+  List.iter2
+    (fun (o : Runner.outcome) (f : Runner.outcome) ->
+      Alcotest.(check bool) ("replayed " ^ o.id) true o.resumed;
+      Alcotest.(check (float 0.)) ("seconds round-trip " ^ o.id) f.seconds
+        o.seconds)
+    report.Runner.experiments first_report.Runner.experiments;
   Alcotest.(check (float 1e-9)) "replay costs no cpu this run" 0.
     report.Runner.cpu_seconds
 
@@ -288,8 +334,11 @@ let test_resume_reruns_only_failed () =
   in
   Alcotest.(check int) "one failure recorded" 1
     (List.length (List.filter Runner.failed report.Runner.experiments));
-  Alcotest.(check bool) "failed experiment never checkpointed" false
-    (Sys.file_exists (Checkpoint.path ~dir "FS-beta"));
+  Alcotest.(check int) "failed experiment never checkpointed"
+    (List.length ids - 1)
+    (List.length (entries dir));
+  Alcotest.(check bool) "no entry holds the failed experiment" false
+    (List.exists (Astring.String.is_infix ~affix:"FS-beta") (entries dir));
   let report, resumed = run_all ~checkpoint_dir:dir ~resume:true () in
   Alcotest.(check string) "resume completes to the clean output" clean
     resumed;
@@ -302,42 +351,30 @@ let test_resume_reruns_only_failed () =
       Alcotest.(check bool) "now ok" false (Runner.failed o))
     report.Runner.experiments
 
+(* Nothing that cannot be proven fresh replays: a changed seed, a
+   truncated entry or garbage all re-run every experiment, and the
+   output still equals the clean run's. *)
 let test_checkpoint_staleness () =
   let dir = temp_dir "dut_ck_stale" in
-  let key = Checkpoint.key_of_config ~csv:false ~timings:false cfg in
-  Checkpoint.save ~dir ~key ~id:"FS-alpha" ~seconds:1.5 "payload bytes\n";
-  (match Checkpoint.load ~dir ~key "FS-alpha" with
-  | Some (payload, seconds) ->
-      Alcotest.(check string) "payload round-trips" "payload bytes\n" payload;
-      Alcotest.(check (float 1e-9)) "seconds round-trip" 1.5 seconds
-  | None -> Alcotest.fail "fresh checkpoint failed to load");
-  (* Any key difference invalidates: here the seed (and trials via the
-     profile) differ. *)
-  let other =
-    Checkpoint.key_of_config ~csv:false ~timings:false
-      (Config.make ~seed:999 ~jobs:1 Config.Fast)
+  let _, clean = run_all ~checkpoint_dir:dir () in
+  let cfg999 = Config.make ~seed:999 ~jobs:1 Config.Fast in
+  let report, _ = run_all ~cfg:cfg999 ~checkpoint_dir:dir ~resume:true () in
+  Alcotest.(check int) "stale key never replays" 0
+    (List.length (resumed report));
+  let rerun_after what damage =
+    rewrite_entries dir damage;
+    let report, out = run_all ~checkpoint_dir:dir ~resume:true () in
+    Alcotest.(check int) (what ^ " never replays") 0
+      (List.length (resumed report));
+    Alcotest.(check string) (what ^ ": re-run output is clean") clean out
   in
-  Alcotest.(check bool) "stale key never replays" true
-    (Checkpoint.load ~dir ~key:other "FS-alpha" = None);
-  (* A truncated file never replays: the header's byte count disagrees. *)
-  let file = Checkpoint.path ~dir "FS-alpha" in
-  let content =
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let oc = open_out_bin file in
-  output_string oc (String.sub content 0 (String.length content - 1));
-  close_out oc;
-  Alcotest.(check bool) "truncated checkpoint never replays" true
-    (Checkpoint.load ~dir ~key "FS-alpha" = None);
-  (* Garbage never replays (and never raises). *)
-  let oc = open_out_bin file in
-  output_string oc "not json\nnot payload";
-  close_out oc;
-  Alcotest.(check bool) "garbage checkpoint never replays" true
-    (Checkpoint.load ~dir ~key "FS-alpha" = None)
+  rerun_after "truncated checkpoint" (fun c ->
+      String.sub c 0 (String.length c - 1));
+  (* The re-run replaced each damaged entry, so the next resume replays. *)
+  let report, _ = run_all ~checkpoint_dir:dir ~resume:true () in
+  Alcotest.(check int) "re-run repairs damaged entries" (List.length ids)
+    (List.length (resumed report));
+  rerun_after "garbage checkpoint" (fun _ -> "not json\nnot payload")
 
 (* -- Interruption ------------------------------------------------------- *)
 
@@ -422,6 +459,8 @@ let () =
             test_inline_cancellation;
           Alcotest.test_case "pooled cancellation" `Quick
             test_pooled_cancellation;
+          Alcotest.test_case "worker failure keeps its backtrace" `Quick
+            test_worker_backtrace;
         ] );
       ( "deadline",
         [

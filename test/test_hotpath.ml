@@ -497,7 +497,7 @@ let words_per_trial_caps =
   [
     ("A1-ablation", 800.);
     ("T13-local-model", 115_000.);
-    ("T16-gossip", 11_000.);
+    ("T16-gossip", 9_600.);
     ("T19-byzantine", 1_700.);
     ("T20-open-problem", 300.);
   ]

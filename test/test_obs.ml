@@ -352,7 +352,7 @@ let test_manifest_schema () =
   in
   Manifest.write ~path m;
   let j = Json.parse (read_file path) in
-  Alcotest.(check string) "schema" "dut-manifest/3" (Json.want_str j "schema");
+  Alcotest.(check string) "schema" "dut-manifest/4" (Json.want_str j "schema");
   Alcotest.(check string) "command" "run-all" (Json.want_str j "command");
   Alcotest.(check string) "status" "failed" (Json.want_str j "status");
   Alcotest.(check int) "seed" 7 (int_of_float (Json.want_num j "seed"));
@@ -381,8 +381,101 @@ let test_manifest_schema () =
   (match Json.field j "histograms" with
   | Json.Obj _ -> ()
   | _ -> Alcotest.fail "histograms is not an object");
-  Alcotest.(check bool) "git stamp nonempty" true
-    (String.length (Json.want_str j "git") > 0)
+  Alcotest.(check string) "code identity" Manifest.code
+    (Json.want_str j "code");
+  Alcotest.(check string) "code = source digest + compiler"
+    ("+ocaml-" ^ Sys.ocaml_version)
+    (String.sub Manifest.code 32 (String.length Manifest.code - 32));
+  Alcotest.(check bool) "source digest is 32 hex digits" true
+    (String.for_all
+       (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
+       (String.sub Manifest.code 0 32))
+
+(* -- Store ------------------------------------------------------------- *)
+
+let with_store_dir f =
+  let dir = Filename.temp_file "dut_store" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
+    (fun () -> f dir)
+
+(* Store [key] alone in a fresh [dir] and return its entry file. *)
+let stored_file ~dir ~key payload =
+  let before = Sys.readdir dir in
+  Store.store ~dir ~key payload;
+  match
+    List.filter
+      (fun f -> not (Array.mem f before))
+      (Array.to_list (Sys.readdir dir))
+  with
+  | [ f ] -> Filename.concat dir f
+  | _ -> Alcotest.fail "store did not publish exactly one file"
+
+let test_store_roundtrip () =
+  with_store_dir @@ fun dir ->
+  Alcotest.(check (option string)) "miss before any store" None
+    (Store.find ~dir ~key:"k");
+  Store.store ~dir ~key:"k" "payload\nwith a newline";
+  Alcotest.(check (option string)) "stored payload found"
+    (Some "payload\nwith a newline") (Store.find ~dir ~key:"k");
+  Alcotest.(check (option string)) "another key misses" None
+    (Store.find ~dir ~key:"k2")
+
+let test_store_other_code_is_a_miss () =
+  with_store_dir @@ fun dir ->
+  let file = stored_file ~dir ~key:"k" "payload" in
+  let content = read_file file in
+  let other = String.make 32 '0' ^ "+ocaml-" ^ Sys.ocaml_version in
+  let swapped =
+    Astring.String.cuts ~sep:Manifest.code content
+    |> String.concat other
+  in
+  Alcotest.(check bool) "header names the code identity" true
+    (swapped <> content);
+  Out_channel.with_open_bin file (fun oc -> output_string oc swapped);
+  Alcotest.(check (option string)) "entry of other code reads as a miss"
+    None (Store.find ~dir ~key:"k")
+
+(* Whatever happens to an entry's file, find answers the exact stored
+   payload or a miss: never an exception, never another key's bytes. *)
+let prop_store_damage_never_misleads =
+  let damage =
+    QCheck.(
+      quad (int_bound 3) (pair (int_bound 1_000_000) (int_range 1 255))
+        (string_gen_of_size (Gen.int_bound 300) Gen.char)
+        (pair small_string small_string))
+  in
+  QCheck.Test.make ~name:"damaged entry: exact payload or miss" ~count:200
+    damage (fun (how, (pos, bits), junk, (key, payload)) ->
+      with_store_dir @@ fun dir ->
+      let other_payload = payload ^ "!" in
+      let file = stored_file ~dir ~key payload in
+      let other = stored_file ~dir ~key:(key ^ "'") other_payload in
+      let content = read_file file in
+      let n = String.length content in
+      let damaged =
+        match how with
+        | 0 -> String.sub content 0 (pos mod n)
+        | 1 ->
+            let b = Bytes.of_string content in
+            let i = pos mod n in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor bits));
+            Bytes.to_string b
+        | 2 ->
+            let nl = String.index content '\n' in
+            junk ^ String.sub content nl (n - nl)
+        | _ -> read_file other
+      in
+      Out_channel.with_open_bin file (fun oc -> output_string oc damaged);
+      match Store.find ~dir ~key with
+      | None -> true
+      | Some p -> p = payload && damaged = content)
 
 (* -- Out-of-band guarantee --------------------------------------------- *)
 
@@ -590,6 +683,13 @@ let () =
         ] );
       ( "manifest",
         [ Alcotest.test_case "schema" `Quick test_manifest_schema ] );
+      ( "store",
+        [
+          Alcotest.test_case "roundtrip" `Quick test_store_roundtrip;
+          Alcotest.test_case "other code is a miss" `Quick
+            test_store_other_code_is_a_miss;
+          QCheck_alcotest.to_alcotest prop_store_damage_never_misleads;
+        ] );
       ( "out-of-band",
         [
           Alcotest.test_case "stdout identical with trace" `Quick

@@ -1,6 +1,6 @@
 (* Cross-module property tests: relations that tie the layers together
-   (rule equivalences, sampler/distance consistency, amplification vs
-   its bound, hard-family invariants under composition). *)
+   (rule equivalences, sampler/distance consistency, hard-family
+   invariants under composition). *)
 
 let vote_arrays =
   QCheck.(list_of_size (Gen.int_range 1 10) bool)
@@ -79,19 +79,6 @@ let prop_collision_prob_lower_bound =
       let total = Array.fold_left ( +. ) 0. w in
       let pmf = Dut_dist.Pmf.create (Array.map (fun x -> x /. total) w) in
       Dut_dist.Pmf.collision_prob pmf >= (1. /. float_of_int size) -. 1e-12)
-
-let prop_amplify_beats_bound_on_coins =
-  (* Majority of r biased coins errs no more than the Hoeffding bound
-     (checked by direct binomial computation, not sampling). *)
-  QCheck.Test.make ~name:"amplification error <= Hoeffding bound" ~count:100
-    QCheck.(pair (int_range 0 4) (float_range 0.05 0.45))
-    (fun (half_rounds, round_error) ->
-      let rounds = (2 * half_rounds) + 1 in
-      (* Exact majority error: P[Bin(rounds, round_error) > rounds/2]. *)
-      let exact =
-        Dut_stats.Tail.binomial_sf ~k:rounds ~p:round_error ((rounds / 2) + 1)
-      in
-      exact <= Dut_core.Amplify.error_bound ~rounds ~round_error +. 1e-9)
 
 let prop_identity_reduction_granule_count =
   QCheck.Test.make ~name:"identity reduction granules sum to m" ~count:50
@@ -192,7 +179,6 @@ let () =
       ( "cross-module",
         List.map QCheck_alcotest.to_alcotest
           [
-            prop_amplify_beats_bound_on_coins;
             prop_identity_reduction_granule_count;
             prop_bounds_thm61_dominated_by_thm11;
           ] );

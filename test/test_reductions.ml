@@ -209,83 +209,8 @@ let test_closeness_contains_uniformity () =
   if float_of_int !ok /. float_of_int trials < 0.7 then
     Alcotest.failf "uniformity via closeness too weak (%d/%d)" !ok trials
 
-(* -- Independence ----------------------------------------------------------- *)
-
-let test_independence_encode_decode () =
-  for a = 0 to 3 do
-    for b = 0 to 4 do
-      let i = Dut_testers.Independence.encode ~n2:5 (a, b) in
-      Alcotest.(check (pair int int)) "roundtrip" (a, b)
-        (Dut_testers.Independence.decode ~n2:5 i)
-    done
-  done
-
-let test_decorrelate_preserves_marginals () =
-  let rng = Dut_prng.Rng.create 220 in
-  let n2 = 4 in
-  let samples =
-    Array.init 200 (fun i -> Dut_testers.Independence.encode ~n2 (i mod 3, i mod 4))
-  in
-  let shuffled = Dut_testers.Independence.decorrelate rng ~n2 samples in
-  let marginal pick arr =
-    let counts = Hashtbl.create 8 in
-    Array.iter
-      (fun s ->
-        let v = pick (Dut_testers.Independence.decode ~n2 s) in
-        Hashtbl.replace counts v (1 + try Hashtbl.find counts v with Not_found -> 0))
-      arr;
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [])
-  in
-  Alcotest.(check (list (pair int int))) "first marginal preserved"
-    (marginal fst samples) (marginal fst shuffled);
-  Alcotest.(check (list (pair int int))) "second marginal preserved"
-    (marginal snd samples) (marginal snd shuffled)
-
-let test_independence_power () =
-  let rng = Dut_prng.Rng.create 221 in
-  let n1 = 8 and n2 = 8 in
-  let eps = 0.5 in
-  let m = Dut_testers.Independence.recommended_samples ~n1 ~n2 ~eps in
-  (* Independent joint: uniform x zipf. *)
-  let marginal2 = Dut_dist.Families.zipf ~n:n2 ~s:0.5 in
-  let s2 = Dut_dist.Sampler.of_pmf marginal2 in
-  let draw_independent r =
-    Dut_testers.Independence.encode ~n2
-      (Dut_prng.Rng.int r n1, Dut_dist.Sampler.draw s2 r)
-  in
-  (* Correlated joint: with prob 1/2 force b = a (a diagonal spike),
-     far from every product distribution. *)
-  let draw_correlated r =
-    let a = Dut_prng.Rng.int r n1 in
-    let b = if Dut_prng.Rng.bool r then a else Dut_dist.Sampler.draw s2 r in
-    Dut_testers.Independence.encode ~n2 (a, b)
-  in
-  let trials = 40 in
-  let ok_indep = ref 0 and ok_corr = ref 0 in
-  for _ = 1 to trials do
-    let r = Dut_prng.Rng.split rng in
-    let samples draw = Array.init m (fun _ -> draw r) in
-    if Dut_testers.Independence.test ~n1 ~n2 ~eps r (samples draw_independent)
-    then incr ok_indep;
-    if not (Dut_testers.Independence.test ~n1 ~n2 ~eps r (samples draw_correlated))
-    then incr ok_corr
-  done;
-  if float_of_int !ok_indep /. float_of_int trials < 0.7 then
-    Alcotest.failf "independent case too weak (%d/%d)" !ok_indep trials;
-  if float_of_int !ok_corr /. float_of_int trials < 0.7 then
-    Alcotest.failf "correlated case too weak (%d/%d)" !ok_corr trials
-
-let test_independence_errors () =
-  let rng = Dut_prng.Rng.create 222 in
-  Alcotest.check_raises "too few"
-    (Invalid_argument "Independence.test: need at least 4 samples") (fun () ->
-      ignore (Dut_testers.Independence.test ~n1:2 ~n2:2 ~eps:0.3 rng [| 0; 1 |]));
-  Alcotest.check_raises "range"
-    (Invalid_argument "Independence.test: sample out of range") (fun () ->
-      ignore (Dut_testers.Independence.test ~n1:2 ~n2:2 ~eps:0.3 rng [| 0; 1; 2; 4 |]))
-
 let prop_perturb_preserves_validity =
-  QCheck.Test.make ~name:"pairwise perturbation yields valid pmfs" ~count:100
+  QCheck.Test.make ~name:"pairwise perturbation yields valid" ~count:100
     QCheck.(pair small_int (float_range 0.05 0.8))
     (fun (seed, eps) ->
       let rng = Dut_prng.Rng.create seed in
@@ -323,14 +248,6 @@ let () =
           Alcotest.test_case "length mismatch" `Quick test_closeness_length_mismatch;
           Alcotest.test_case "power" `Slow test_closeness_power;
           Alcotest.test_case "contains uniformity" `Slow test_closeness_contains_uniformity;
-        ] );
-      ( "independence",
-        [
-          Alcotest.test_case "encode/decode" `Quick test_independence_encode_decode;
-          Alcotest.test_case "decorrelate marginals" `Quick
-            test_decorrelate_preserves_marginals;
-          Alcotest.test_case "power" `Slow test_independence_power;
-          Alcotest.test_case "errors" `Quick test_independence_errors;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_perturb_preserves_validity ] );

@@ -198,7 +198,7 @@ let test_memo_corruption_is_a_miss () =
     (fun f ->
       let path = Filename.concat dir f in
       let oc = open_out path in
-      output_string oc "{\"schema\":\"dut-memo/1\"";
+      output_string oc "{\"schema\":\"dut-store/1\"";
       close_out oc)
     (Sys.readdir dir);
   let m2 = Memo.create ~capacity:8 ~dir:(Some dir) () in
@@ -461,8 +461,7 @@ let mixed_lines =
 let test_batch_cold_warm_byte_identity () =
   let cache = Memo.create ~capacity:64 () in
   let run () =
-    Server.handle_batch ~cache ~stamp:"test-stamp" ~jobs:2
-      (batch_of_lines mixed_lines)
+    Server.handle_batch ~cache ~jobs:2 (batch_of_lines mixed_lines)
   in
   let hits0 = counter "cache.hits" in
   let cold = run () in
@@ -519,8 +518,7 @@ let test_route_batch_shared_store_replay () =
   in
   let reqs = batch_of_lines mixed_lines in
   let run shards =
-    Shard.route_batch ~caches:(caches shards) ~stamp:"test-stamp" ~jobs:2
-      ~shards reqs
+    Shard.route_batch ~caches:(caches shards) ~jobs:2 ~shards reqs
   in
   let cold = run 3 in
   let hits0 = counter "cache.hits" in

@@ -1,5 +1,6 @@
-(* Tests for dut_testers: statistics on crafted inputs, cutoff algebra,
-   and end-to-end power of each centralized tester on the hard family. *)
+(* Tests for dut_testers' centralized collision tester: statistics on
+   crafted inputs, cutoff algebra, and end-to-end power on the hard
+   family. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -57,147 +58,17 @@ let test_collision_accepts_uniform_small () =
   Alcotest.(check bool) "distinct accept" true
     (Dut_testers.Collision.test ~n:100 ~eps:0.3 (Array.init 10 Fun.id))
 
-(* -- Unique ----------------------------------------------------------- *)
-
-let test_unique_statistic () =
-  Alcotest.(check int) "all distinct" 4
-    (Dut_testers.Unique.statistic [| 0; 1; 2; 3 |] ~n:8);
-  Alcotest.(check int) "one repeated" 3
-    (Dut_testers.Unique.statistic [| 0; 0; 2; 3 |] ~n:8);
-  Alcotest.(check int) "all same" 1
-    (Dut_testers.Unique.statistic [| 5; 5; 5 |] ~n:8)
-
-let test_unique_expectations_ordering () =
-  (* Far distributions produce fewer distinct values, at every sample
-     size (concavity). *)
-  List.iter
-    (fun (n, m) ->
-      Alcotest.(check bool) "uniform > far" true
-        (Dut_testers.Unique.expected_uniform ~n ~m
-        > Dut_testers.Unique.expected_far ~n ~m ~eps:0.4))
-    [ (64, 40); (64, 500); (1024, 100); (1024, 10000) ]
-
-let test_unique_power () =
-  (* The coincidence tester needs the near-sparse regime sqrt(n)/eps^2
-     < n, hence the larger universe. *)
-  power_check ~ell:12 "unique" Dut_testers.Unique.test
-    Dut_testers.Unique.recommended_samples
-
-(* -- Chi_square ------------------------------------------------------- *)
-
-let test_chi2_statistic_uniform_counts () =
-  (* Perfectly balanced counts give statistic 0. *)
-  check_float "balanced" 0.
-    (Dut_testers.Chi_square.statistic [| 0; 1; 2; 3 |] ~n:4)
-
-let test_chi2_statistic_concentrated () =
-  (* All m samples on one of n elements: (m - m/n)^2/(m/n) + (n-1)(m/n). *)
-  let m = 8 and n = 4 in
-  let e = float_of_int m /. float_of_int n in
-  let expected = (((8. -. e) ** 2.) /. e) +. (3. *. e) in
-  check_float "concentrated" expected
-    (Dut_testers.Chi_square.statistic (Array.make m 0) ~n)
-
-let test_chi2_null_mean () =
-  check_float "n-1" 63. (Dut_testers.Chi_square.expected_uniform ~n:64 ~m:100)
-
-let test_chi2_power () =
-  power_check "chi2" Dut_testers.Chi_square.test
-    Dut_testers.Chi_square.recommended_samples
-
-(* -- Plugin_l1 -------------------------------------------------------- *)
-
-let test_plugin_statistic () =
-  (* Empirical [1/2, 1/2] vs uniform on 2: distance 0. *)
-  check_float "balanced" 0. (Dut_testers.Plugin_l1.statistic [| 0; 1 |] ~n:2);
-  (* All mass on one of two: |1 - 1/2| + |0 - 1/2| = 1. *)
-  check_float "concentrated" 1. (Dut_testers.Plugin_l1.statistic [| 0; 0 |] ~n:2)
-
-let test_plugin_power () =
-  power_check "plugin-l1" Dut_testers.Plugin_l1.test
-    Dut_testers.Plugin_l1.recommended_samples
-
-let test_plugin_needs_more_samples_than_collision () =
-  Alcotest.(check bool) "learning costs more" true
-    (Dut_testers.Plugin_l1.recommended_samples ~n:4096 ~eps:0.25
-    > 4 * Dut_testers.Collision.recommended_samples ~n:4096 ~eps:0.25)
-
-(* -- Poissonized -------------------------------------------------------- *)
-
-let test_poissonized_statistic () =
-  Alcotest.(check int) "counts to pairs" 4
-    (Dut_testers.Poissonized.collision_statistic [| 2; 3; 0; 1 |])
-
-let test_poissonized_counts_total () =
-  (* Total count concentrates around m. *)
-  let rng = Dut_prng.Rng.create 95 in
-  let pmf = Dut_dist.Pmf.uniform 64 in
-  let m = 2000 in
-  let counts = Dut_testers.Poissonized.draw_counts rng ~pmf ~mean_samples:m in
-  let total = Array.fold_left ( + ) 0 counts in
-  Alcotest.(check bool) "total near m" true (abs (total - m) < 300)
-
-let test_poissonized_expectations () =
-  check_float "null mean" 50. (Dut_testers.Poissonized.expected_uniform ~n:100 ~m:100);
-  Alcotest.(check bool) "far above null" true
-    (Dut_testers.Poissonized.expected_far ~n:100 ~m:100 ~eps:0.3
-    > Dut_testers.Poissonized.expected_uniform ~n:100 ~m:100)
-
-let test_poissonized_power_matches_fixed_m () =
-  (* The Poissonized collision tester works like the fixed-m one, once m
-     also clears the Poissonization floor ~1/eps^4 (the random total
-     adds m^1.5/n of statistic noise, so the m^2 eps^2/n gap needs
-     sqrt(m) >= ~1/eps^2 — the classical sqrt(n)/eps^2 vs 1/eps^4
-     crossover). *)
-  let ell = 5 in
-  let n = 1 lsl (ell + 1) in
-  let eps = 0.3 in
-  let m =
-    max
-      (Dut_testers.Collision.recommended_samples ~n ~eps)
-      (int_of_float (12. /. (eps ** 4.)))
-  in
-  let rng = Dut_prng.Rng.create 96 in
-  let trials = 120 in
-  let ok_unif = ref 0 and ok_far = ref 0 in
-  let uniform_pmf = Dut_dist.Pmf.uniform n in
-  for _ = 1 to trials do
-    let r = Dut_prng.Rng.split rng in
-    if Dut_testers.Poissonized.test ~n ~eps ~m r uniform_pmf then incr ok_unif;
-    let d = Dut_dist.Paninski.random ~ell ~eps r in
-    if not (Dut_testers.Poissonized.test ~n ~eps ~m r (Dut_dist.Paninski.pmf d))
-    then incr ok_far
-  done;
-  if float_of_int !ok_unif /. float_of_int trials < 0.7 then
-    Alcotest.failf "poissonized uniform acceptance too low (%d/%d)" !ok_unif trials;
-  if float_of_int !ok_far /. float_of_int trials < 0.7 then
-    Alcotest.failf "poissonized far rejection too low (%d/%d)" !ok_far trials
-
 (* -- Cross-tester sanity ----------------------------------------------- *)
 
 let test_recommended_samples_scale_with_n () =
-  List.iter
-    (fun recommended ->
-      Alcotest.(check bool) "monotone in n" true
-        (recommended ~n:1024 ~eps:0.3 > recommended ~n:256 ~eps:0.3))
-    [
-      Dut_testers.Collision.recommended_samples;
-      Dut_testers.Unique.recommended_samples;
-      Dut_testers.Chi_square.recommended_samples;
-      Dut_testers.Plugin_l1.recommended_samples;
-    ]
+  Alcotest.(check bool) "monotone in n" true
+    (Dut_testers.Collision.recommended_samples ~n:1024 ~eps:0.3
+    > Dut_testers.Collision.recommended_samples ~n:256 ~eps:0.3)
 
 let test_recommended_samples_scale_with_eps () =
-  List.iter
-    (fun recommended ->
-      Alcotest.(check bool) "monotone in 1/eps" true
-        (recommended ~n:1024 ~eps:0.1 > recommended ~n:1024 ~eps:0.4))
-    [
-      Dut_testers.Collision.recommended_samples;
-      Dut_testers.Unique.recommended_samples;
-      Dut_testers.Chi_square.recommended_samples;
-      Dut_testers.Plugin_l1.recommended_samples;
-    ]
+  Alcotest.(check bool) "monotone in 1/eps" true
+    (Dut_testers.Collision.recommended_samples ~n:1024 ~eps:0.1
+    > Dut_testers.Collision.recommended_samples ~n:1024 ~eps:0.4)
 
 let prop_collision_statistic_vs_local_stat =
   (* Two independent implementations (histogram-based and sort-based)
@@ -217,34 +88,6 @@ let () =
           Alcotest.test_case "expectations" `Quick test_collision_expectations;
           Alcotest.test_case "power" `Slow test_collision_power;
           Alcotest.test_case "accepts distinct" `Quick test_collision_accepts_uniform_small;
-        ] );
-      ( "unique",
-        [
-          Alcotest.test_case "statistic" `Quick test_unique_statistic;
-          Alcotest.test_case "ordering" `Quick test_unique_expectations_ordering;
-          Alcotest.test_case "power" `Slow test_unique_power;
-        ] );
-      ( "chi_square",
-        [
-          Alcotest.test_case "balanced counts" `Quick test_chi2_statistic_uniform_counts;
-          Alcotest.test_case "concentrated" `Quick test_chi2_statistic_concentrated;
-          Alcotest.test_case "null mean" `Quick test_chi2_null_mean;
-          Alcotest.test_case "power" `Slow test_chi2_power;
-        ] );
-      ( "plugin_l1",
-        [
-          Alcotest.test_case "statistic" `Quick test_plugin_statistic;
-          Alcotest.test_case "power" `Slow test_plugin_power;
-          Alcotest.test_case "costs more than collision" `Quick
-            test_plugin_needs_more_samples_than_collision;
-        ] );
-      ( "poissonized",
-        [
-          Alcotest.test_case "statistic" `Quick test_poissonized_statistic;
-          Alcotest.test_case "counts total" `Quick test_poissonized_counts_total;
-          Alcotest.test_case "expectations" `Quick test_poissonized_expectations;
-          Alcotest.test_case "power matches fixed-m" `Slow
-            test_poissonized_power_matches_fixed_m;
         ] );
       ( "cross",
         [

@@ -18,10 +18,6 @@ type t = {
 let thresholds eps =
   [| (1. -. eps) /. 2. *. 0x1.0p53; (1. +. eps) /. 2. *. 0x1.0p53 |]
 
-let mask_covering n =
-  let rec go m = if m >= n - 1 then m else go ((m lsl 1) lor 1) in
-  go 1
-
 let create ~ell ~eps ~z =
   if ell < 0 || ell > 20 then invalid_arg "Paninski.create: ell out of [0,20]";
   if eps < 0. || eps >= 1. then invalid_arg "Paninski.create: eps out of [0,1)";
@@ -30,7 +26,7 @@ let create ~ell ~eps ~z =
   Array.iter
     (fun v -> if v <> 1 && v <> -1 then invalid_arg "Paninski.create: z entries must be +-1")
     z;
-  { ell; eps; z = Array.copy z; thr = thresholds eps; mask = mask_covering (1 lsl ell) }
+  { ell; eps; z = Array.copy z; thr = thresholds eps; mask = Dut_prng.Rng.mask_for (1 lsl ell) }
 
 let random ~ell ~eps rng =
   create ~ell ~eps ~z:(Dut_prng.Rng.rademacher_vector rng (1 lsl ell))
@@ -57,7 +53,7 @@ let random_scratch ~ell ~eps rng =
   in
   (* Same draws, in the same order, as [random]. *)
   Dut_prng.Rng.rademacher_vector_into rng z;
-  { ell; eps; z; thr = thresholds eps; mask = mask_covering (1 lsl ell) }
+  { ell; eps; z; thr = thresholds eps; mask = Dut_prng.Rng.mask_for (1 lsl ell) }
 
 let all_plus ~ell ~eps = create ~ell ~eps ~z:(Array.make (1 lsl ell) 1)
 
@@ -77,14 +73,8 @@ let prob t i =
 
 let pmf t = Pmf.create_exn_strict (Array.init (n t) (prob t))
 
-(* Top-level, not a local [let rec]: a capturing rejection closure
-   would cost six minor words per draw without flambda. *)
-let rec masked_below rng mask n =
-  let v = Dut_prng.Rng.bits63 rng land mask in
-  if v < n then v else masked_below rng mask n
-
 let draw t rng =
-  let x = masked_below rng t.mask (m t) in
+  let x = Dut_prng.Rng.masked_int rng ~mask:t.mask ~bound:(m t) in
   let thr = Array.unsafe_get t.thr ((t.z.(x) + 1) lsr 1) in
   let plus = float_of_int (Dut_prng.Rng.bits53 rng) < thr in
   (2 * x) + Bool.to_int (not plus)
@@ -97,7 +87,7 @@ let draw_block t rng buf =
   let mask = t.mask in
   let z = t.z and thr = t.thr in
   for j = 0 to Array.length buf - 1 do
-    let x = masked_below rng mask mm in
+    let x = Dut_prng.Rng.masked_int rng ~mask ~bound:mm in
     let cut = Array.unsafe_get thr ((Array.unsafe_get z x + 1) lsr 1) in
     let plus = float_of_int (Dut_prng.Rng.bits53 rng) < cut in
     Array.unsafe_set buf j ((2 * x) + Bool.to_int (not plus))

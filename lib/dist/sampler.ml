@@ -14,10 +14,6 @@ type t = {
   mask : int;
 }
 
-let mask_covering n =
-  let rec go m = if m >= n - 1 then m else go ((m lsl 1) lor 1) in
-  go 1
-
 let of_pmf pmf =
   let n = Pmf.size pmf in
   let scaled = Array.init n (fun i -> Pmf.prob pmf i *. float_of_int n) in
@@ -49,17 +45,11 @@ let of_pmf pmf =
     prob;
     alias;
     scaled = Array.map (fun p -> p *. 0x1.0p53) prob;
-    mask = mask_covering n;
+    mask = Dut_prng.Rng.mask_for n;
   }
 
-(* Top-level, not a local [let rec]: a capturing rejection closure
-   would cost six minor words per draw without flambda. *)
-let rec masked_below rng mask n =
-  let v = Dut_prng.Rng.bits63 rng land mask in
-  if v < n then v else masked_below rng mask n
-
 let draw t rng =
-  let i = masked_below rng t.mask (Array.length t.prob) in
+  let i = Dut_prng.Rng.masked_int rng ~mask:t.mask ~bound:(Array.length t.prob) in
   if float_of_int (Dut_prng.Rng.bits53 rng) < t.scaled.(i) then i
   else t.alias.(i)
 
@@ -72,7 +62,7 @@ let draw_block t rng buf =
   let mask = t.mask in
   let scaled = t.scaled and alias = t.alias in
   for j = 0 to Array.length buf - 1 do
-    let i = masked_below rng mask n in
+    let i = Dut_prng.Rng.masked_int rng ~mask ~bound:n in
     let i =
       if float_of_int (Dut_prng.Rng.bits53 rng) < Array.unsafe_get scaled i
       then i

@@ -24,9 +24,9 @@ module Anytime = Dut_stream.Anytime
 let sketch_seed = 77
 
 (* Draw [q] samples from [source] through the incremental engine fold:
-   fixed chunk boundaries, one child RNG per chunk, sketches merged in
-   chunk order — the streaming ingestion path, used here exactly as
-   `dut stream` uses it. *)
+   fixed chunk boundaries, one child RNG per chunk, and the chunk
+   sketches merged in place in chunk order, as the referee merges the
+   chunks of `dut stream`. *)
 let sketch_stream ?jobs ~rng ~chunk ~q ~cfg_sk source =
   Dut_engine.Parallel.fold_chunks ?jobs ~rng ~n:q ~chunk
     ~f:(fun rng ~lo ~hi ->
@@ -35,7 +35,10 @@ let sketch_stream ?jobs ~rng ~chunk ~q ~cfg_sk source =
         Sketch.add sk (source rng)
       done;
       sk)
-    ~init:(Sketch.create cfg_sk) ~merge:Sketch.merge
+    ~init:(Sketch.create cfg_sk)
+    ~merge:(fun acc sk ->
+      Sketch.merge_into ~into:acc sk;
+      acc)
 
 let stream_tester ~cfg_sk ~chunk ~eps ~q =
   {
@@ -61,17 +64,20 @@ let run_trial ~rng ~k ~rounds ~chunk ~eps ~slide_w ~cfg_sk source =
   let grow = Anytime.create ~window:Anytime.Growing ~eps cfg_sk in
   let slide = Anytime.create ~window:(Anytime.Sliding slide_w) ~eps cfg_sk in
   let prngs = Dut_prng.Rng.split_n rng k in
+  (* One player sketch and one round sketch, cleared and merged into in
+     place every round: the referees keep what they need of a round. *)
+  let sk = Sketch.create cfg_sk and round_sk = Sketch.create cfg_sk in
   for _ = 1 to rounds do
-    let round_sk = ref (Sketch.create cfg_sk) in
+    Sketch.clear round_sk;
     for p = 0 to k - 1 do
-      let sk = Sketch.create cfg_sk in
+      Sketch.clear sk;
       for _ = 1 to chunk do
         Sketch.add sk (source prngs.(p))
       done;
-      round_sk := Sketch.merge !round_sk sk
+      Sketch.merge_into ~into:round_sk sk
     done;
-    ignore (Anytime.observe grow !round_sk);
-    ignore (Anytime.observe slide !round_sk)
+    ignore (Anytime.observe grow round_sk);
+    ignore (Anytime.observe slide round_sk)
   done;
   {
     final_accept = not (Anytime.final grow).Anytime.reject;

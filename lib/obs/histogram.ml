@@ -16,11 +16,32 @@ let subs = 16
 let octaves = 59
 let buckets = subs + (octaves * subs)
 
-type t = { counts : int array }
+(* [counts] covers buckets [0 .. length-1]; every bucket past its end
+   is zero. It is all [buckets] long except in a [compact] copy, which
+   grows back to full length if recorded or merged into. *)
+type t = { mutable counts : int array }
 
 let create () = { counts = Array.make buckets 0 }
 let copy t = { counts = Array.copy t.counts }
-let clear t = Array.fill t.counts 0 buckets 0
+let clear t = Array.fill t.counts 0 (Array.length t.counts) 0
+let get t b = if b < Array.length t.counts then t.counts.(b) else 0
+
+let reserve t len =
+  let have = Array.length t.counts in
+  if have < len then begin
+    let a = Array.make len 0 in
+    Array.blit t.counts 0 a 0 have;
+    t.counts <- a
+  end
+
+(* One past the highest non-empty bucket of [counts]. *)
+let used counts =
+  let rec go b = if b < 0 then 0 else if counts.(b) <> 0 then b + 1 else go (b - 1) in
+  go (Array.length counts - 1)
+
+let compact t =
+  let c = t.counts in
+  { counts = Array.sub c 0 (used c) }
 
 (* Index of the highest set bit; [v >= 1]. *)
 let msb v =
@@ -69,14 +90,18 @@ let bucket_hi b =
 
 let record t v =
   let b = bucket_of v in
+  if b >= Array.length t.counts then reserve t buckets;
   t.counts.(b) <- t.counts.(b) + 1
 
 let count t = Array.fold_left ( + ) 0 t.counts
 let is_empty t = count t = 0
 
 let merge_into ~into src =
-  for b = 0 to buckets - 1 do
-    into.counts.(b) <- into.counts.(b) + src.counts.(b)
+  let c = src.counts in
+  let n = used c in
+  reserve into n;
+  for b = 0 to n - 1 do
+    into.counts.(b) <- into.counts.(b) + c.(b)
   done
 
 let merge a b =
@@ -90,11 +115,13 @@ let merge a b =
 let diff newer older =
   let t = create () in
   for b = 0 to buckets - 1 do
-    t.counts.(b) <- max 0 (newer.counts.(b) - older.counts.(b))
+    t.counts.(b) <- max 0 (get newer b - get older b)
   done;
   t
 
-let equal a b = a.counts = b.counts
+let equal a b =
+  let rec go i = i < 0 || (get a i = get b i && go (i - 1)) in
+  go (max (Array.length a.counts) (Array.length b.counts) - 1)
 
 (* Smallest bucket whose cumulative count reaches rank ceil(q*n): the
    bucket holding the exact q-quantile of the recorded multiset, so the
@@ -107,7 +134,7 @@ let quantile_bucket t q =
     let rank = int_of_float (ceil (q *. float_of_int n)) in
     let rank = if rank < 1 then 1 else if rank > n then n else rank in
     let rec go b acc =
-      let acc = acc + t.counts.(b) in
+      let acc = acc + get t b in
       if acc >= rank then b else go (b + 1) acc
     in
     Some (go 0 0)
@@ -121,11 +148,11 @@ let quantile t q =
    under-reporting) estimate of the largest recorded value. *)
 let max_value t =
   let rec go b = if b < 0 then None else if t.counts.(b) > 0 then Some (bucket_hi b) else go (b - 1) in
-  go (buckets - 1)
+  go (Array.length t.counts - 1)
 
 let sum_estimate t =
   let acc = ref 0 in
-  for b = 0 to buckets - 1 do
+  for b = 0 to Array.length t.counts - 1 do
     if t.counts.(b) > 0 then acc := !acc + (t.counts.(b) * ((bucket_lo b + bucket_hi b) / 2))
   done;
   !acc
@@ -138,7 +165,7 @@ let q_or_zero t q = match quantile t q with Some v -> v | None -> 0
    round-tripping being lossless. *)
 let to_json t =
   let pairs = ref [] in
-  for b = buckets - 1 downto 0 do
+  for b = Array.length t.counts - 1 downto 0 do
     if t.counts.(b) > 0 then
       pairs := Json.Arr [ Json.int b; Json.int t.counts.(b) ] :: !pairs
   done;

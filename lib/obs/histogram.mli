@@ -18,6 +18,15 @@ val buckets : int
 (** Total number of buckets (960). *)
 
 val create : unit -> t
+
+val compact : t -> t
+(** A copy that holds buckets only up to the highest non-empty one
+    (one word when empty) instead of all {!buckets}; it equals its
+    source and supports every operation, growing back to full length
+    if recorded or merged into. {!Metrics.histogram_snapshot} returns
+    these, so a reader that keeps a snapshot per pass or per batch pays
+    for the range it saw. *)
+
 val copy : t -> t
 val clear : t -> unit
 

@@ -186,7 +186,8 @@ let histogram_snapshot () =
   Mutex.lock lock;
   let hs =
     List.rev_map
-      (fun name -> (name, merge_hist_locked (Hashtbl.find hist_ids name)))
+      (fun name ->
+        (name, Histogram.compact (merge_hist_locked (Hashtbl.find hist_ids name))))
       !hist_names
   in
   Mutex.unlock lock;

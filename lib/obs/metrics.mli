@@ -60,7 +60,9 @@ val histogram_snapshot : unit -> (string * Histogram.t) list
 (** Every registered histogram, sorted by name, merged across all
     domains that ever observed into it (including terminated ones).
     Exact at quiescence; mid-flight it is stale but never corrupt —
-    the merge is pointwise over plain int buckets. *)
+    the merge is pointwise over plain int buckets. Each is a
+    {!Histogram.compact} copy: words in proportion to the range it
+    holds, not 960 per histogram. *)
 
 val histogram_value : string -> Histogram.t
 (** The merged histogram for [name]; empty if never registered. *)

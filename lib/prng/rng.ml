@@ -77,14 +77,15 @@ let[@inline] bits53 t =
    OCaml's 63-bit ints. We draw 64 bits, keep the low 63 (non-negative as an
    OCaml int), and reject into the unbiased range. *)
 
-let[@inline] mask_for bound =
-  let rec mask_of m = if m >= bound - 1 then m else mask_of ((m lsl 1) lor 1) in
-  mask_of 1
+(* Both recursions are top-level, not local [let rec]s: without
+   flambda a local recursive function capturing its environment is a
+   fresh closure on every call — four to six minor words per draw on
+   the hottest line in the tree. *)
+let rec mask_covering m bound =
+  if m >= bound - 1 then m else mask_covering ((m lsl 1) lor 1) bound
 
-(* Top-level recursion, not a local [let rec]: a local recursive
-   function capturing [t]/[mask] is a fresh closure on every call
-   without flambda — six minor words per draw on the hottest line in
-   the tree. *)
+let mask_for bound = mask_covering 1 bound
+
 let rec masked_int t ~mask ~bound =
   let v = bits63 t land mask in
   if v < bound then v else masked_int t ~mask ~bound

@@ -63,6 +63,16 @@ val int : t -> int -> int
 
     @raise Invalid_argument if [bound <= 0]. *)
 
+val mask_for : int -> int
+(** [mask_for bound] is the rejection mask behind {!int}: the smallest
+    [2{^k} - 1] (k ≥ 1) covering [bound - 1]. Callers that draw many
+    values below one bound hoist it and call {!masked_int}. *)
+
+val masked_int : t -> mask:int -> bound:int -> int
+(** [masked_int t ~mask:(mask_for bound) ~bound] is exactly [int t
+    bound] — the same rejection loop over the same draws — with the
+    mask computed once by the caller. [bound] must be positive. *)
+
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform on [lo .. hi] inclusive.
 

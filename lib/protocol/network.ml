@@ -124,17 +124,9 @@ let of_sampler s rng = Dut_dist.Sampler.draw s rng
 
 let of_paninski d rng = Dut_dist.Paninski.draw d rng
 
-(* Top-level, not a local [let rec] inside the source closure: a
-   capturing rejection closure would cost six minor words per draw
-   without flambda. *)
-let rec masked_below rng mask n =
-  let v = Dut_prng.Rng.bits63 rng land mask in
-  if v < n then v else masked_below rng mask n
-
 let uniform_source ~n =
   if n <= 0 then invalid_arg "Network.uniform_source: n must be positive";
   (* [Rng.int] with the rejection mask hoisted out of the closure:
      bit-identical draws, no per-sample mask rebuild. *)
-  let rec mask_of m = if m >= n - 1 then m else mask_of ((m lsl 1) lor 1) in
-  let mask = mask_of 1 in
-  fun rng -> masked_below rng mask n
+  let mask = Dut_prng.Rng.mask_for n in
+  fun rng -> Dut_prng.Rng.masked_int rng ~mask ~bound:n

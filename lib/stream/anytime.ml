@@ -19,8 +19,13 @@ type t = {
   alpha : float;
   window : window;
   every : int;
-  mutable cum : Sketch.t;
-  ring : Sketch.t option array;  (* last [w] chunk sketches, mod-indexed *)
+  cum : Sketch.t;  (* everything observed, merged in place *)
+  mutable win : Sketch.t;
+      (* the judged window: [cum] itself when growing; when sliding, a
+         running sketch of the last [w] chunks, made at the first
+         observe so that [create] costs what it always did *)
+  ring : Sketch.t option array;
+      (* sliding: owned copies of the last [w] chunks, mod-indexed *)
   mutable nchunks : int;
   mutable checkpoints : int;
   mutable spent : float;
@@ -41,12 +46,14 @@ let create ?(window = Growing) ?(alpha = 0.05) ?(every = 1) ~eps cfg =
     | Sliding w when w >= 1 -> Array.make w None
     | Sliding _ -> invalid_arg "Anytime.create: sliding window < 1 chunk"
   in
+  let cum = Sketch.create cfg in
   {
     eps;
     alpha;
     window;
     every;
-    cum = Sketch.create cfg;
+    cum;
+    win = cum;
     ring;
     nchunks = 0;
     checkpoints = 0;
@@ -60,26 +67,12 @@ let create ?(window = Growing) ?(alpha = 0.05) ?(every = 1) ~eps cfg =
    schedule starves a long run's sliding windows). *)
 let alpha_at t j = t.alpha *. 6. /. (Float.pi *. Float.pi *. float_of_int j *. float_of_int j)
 
-let window_sketch t =
-  match t.window with
-  | Growing -> t.cum
-  | Sliding w ->
-      let first = max 0 (t.nchunks - w) in
-      let sk = ref None in
-      for c = first to t.nchunks - 1 do
-        match t.ring.(c mod w) with
-        | None -> assert false
-        | Some chunk ->
-            sk := Some (match !sk with None -> chunk | Some acc -> Sketch.merge acc chunk)
-      done;
-      (match !sk with None -> t.cum (* no chunks yet: empty cum *) | Some sk -> sk)
-
 let checkpoint t =
   t.checkpoints <- t.checkpoints + 1;
   let j = t.checkpoints in
   let aj = alpha_at t j in
   t.spent <- t.spent +. aj;
-  let sk = window_sketch t in
+  let sk = t.win in
   let stat = Sketch.excess sk in
   let slack = Sketch.null_sd sk /. sqrt aj in
   let threshold = Float.max (Sketch.gap sk ~eps:t.eps /. 2.) slack in
@@ -100,10 +93,21 @@ let checkpoint t =
   v
 
 let observe t chunk =
-  t.cum <- Sketch.merge t.cum chunk;
+  Sketch.merge_into ~into:t.cum chunk;
   (match t.window with
   | Growing -> ()
-  | Sliding w -> t.ring.(t.nchunks mod w) <- Some chunk);
+  | Sliding w ->
+      (* The window gains this chunk and loses the one [w] back: O(chunk)
+         rather than a re-merge of [w] bucket arrays. Counts are
+         integers, so it equals that re-merge exactly. *)
+      if t.nchunks = 0 then t.win <- Sketch.create (Sketch.config_of t.cum);
+      let slot = t.nchunks mod w in
+      (match t.ring.(slot) with
+      | None -> t.ring.(slot) <- Some (Sketch.copy chunk)
+      | Some evicted ->
+          Sketch.subtract ~from:t.win evicted;
+          Sketch.blit ~src:chunk ~dst:evicted);
+      Sketch.merge_into ~into:t.win chunk);
   t.nchunks <- t.nchunks + 1;
   if t.nchunks mod t.every = 0 then Some (checkpoint t) else None
 
@@ -114,6 +118,8 @@ let chunks_seen t = t.nchunks
 let samples_seen t = Sketch.count t.cum
 
 let cumulative t = t.cum
+
+let window_sketch t = t.win
 
 let verdicts t = List.rev t.emitted
 

@@ -63,7 +63,15 @@ val observe : t -> Sketch.t -> verdict option
     checkpoint (tallied as [stream.verdicts_emitted]). Rejections are
     sticky for {!rejected} but observation may continue — a sliding
     window can legitimately report recovery, and the caller decides
-    whether to stop at the first rejection. *)
+    whether to stop at the first rejection.
+
+    The chunk is merged into the cumulative sketch in place and is not
+    retained: a sliding window keeps its own copy of each of its [w]
+    chunks, and a running window sketch that gains the new chunk and
+    {!Sketch.subtract}s the evicted one. So the caller may reuse the
+    chunk sketch as soon as [observe] returns (as {!Ingest} does), and
+    a checkpoint costs O(chunk) — O(1) more for an exact sketch — not
+    O(buckets · w). *)
 
 val rejected : t -> verdict option
 (** The first rejecting checkpoint verdict, if any — the anytime-valid
@@ -75,7 +83,12 @@ val samples_seen : t -> int
 
 val cumulative : t -> Sketch.t
 (** The merged sketch of everything observed (maintained in both window
-    modes). *)
+    modes). This is the referee's live sketch, not a snapshot: the next
+    {!observe} merges into it. {!Sketch.copy} it to keep a state. *)
+
+val window_sketch : t -> Sketch.t
+(** The live sketch of the judged window: {!cumulative} when growing,
+    the merge of the last [w] observed chunks when sliding. *)
 
 val verdicts : t -> verdict list
 (** Every checkpoint verdict emitted so far, in emission order. *)

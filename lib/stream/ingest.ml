@@ -1,17 +1,19 @@
-(* The buffer holds at most [batch] = chunk * 4 * jobs samples: enough
-   full chunks to keep every domain busy per engine dispatch, small
-   enough that memory stays bounded by the chunk size and jobs count,
-   never by the stream length. Chunk boundaries are sample-index
-   arithmetic only — the batch threshold (which does depend on jobs)
-   decides merely when buffered chunks get sketched, not where they
-   start or end, so the emitted sketch sequence is jobs-invariant. *)
+(* Chunks are sketched inline, on the feeding domain, as each one fills:
+   chunk boundaries are sample-index arithmetic only, so the emitted
+   sketch sequence is the same for every jobs count and every batching
+   of [feed] calls. The engine's pool is not used. Once a chunk costs
+   O(chunk) — about 4 µs at the `dut stream` defaults — a trip through
+   the pool costs more than it saves, and on 2 vCPUs it was slower for
+   every config measured, AMS with K = 1024 counters included (see
+   doc/stream.md). *)
 
 type t = {
   cfg : Sketch.config;
   chunk : int;
-  jobs : int;
   on_chunk : Sketch.t -> unit;
-  buf : int array;  (* capacity = batch size *)
+  buf : int array;  (* the pending partial chunk *)
+  mutable sketch : Sketch.t option;
+      (* the one chunk sketch, reused; made at the first emission *)
   mutable len : int;  (* pending samples in [buf] *)
   mutable fed : int;
   mutable emitted : int;
@@ -20,59 +22,41 @@ type t = {
 
 let create ?jobs ~chunk ~on_chunk cfg =
   if chunk < 1 then invalid_arg "Ingest.create: chunk < 1";
-  let jobs =
-    Dut_engine.Pool.effective_jobs
-      (match jobs with
-      | Some j when j >= 1 -> j
-      | Some _ -> invalid_arg "Ingest.create: jobs < 1"
-      | None -> Dut_engine.Parallel.default_jobs ())
-  in
+  (match jobs with
+  | Some j when j < 1 -> invalid_arg "Ingest.create: jobs < 1"
+  | _ -> ());
   {
     cfg;
     chunk;
-    jobs;
     on_chunk;
-    buf = Array.make (chunk * 4 * jobs) 0;
+    buf = Array.make chunk 0;
+    sketch = None;
     len = 0;
     fed = 0;
     emitted = 0;
     flushed = false;
   }
 
-(* Time every chunk sketched, full (pooled drain) and partial tail
-   (flush) alike: one histogram observation per on_chunk emission. *)
+(* Time every chunk sketched, full and partial tail alike: one histogram
+   observation per on_chunk emission. *)
 let h_chunk_ns = Dut_obs.Metrics.histogram "ingest.chunk_ns"
 
-let sketch_range t lo hi =
+let emit t =
+  let sk =
+    match t.sketch with
+    | Some sk -> sk
+    | None ->
+        let sk = Sketch.create t.cfg in
+        t.sketch <- Some sk;
+        sk
+  in
   let started = Dut_obs.Span.now_ns () in
-  let sk = Sketch.create t.cfg in
-  for i = lo to hi - 1 do
-    Sketch.add sk t.buf.(i)
-  done;
+  Sketch.clear sk;
+  Sketch.add_range sk t.buf ~lo:0 ~hi:t.len;
   Dut_obs.Metrics.observe h_chunk_ns (Dut_obs.Span.now_ns () - started);
-  sk
-
-(* Sketch every full chunk currently buffered (concurrently: chunks are
-   independent) and emit the sketches in chunk order; the partial tail
-   chunk slides to the front of the buffer. *)
-let drain_full t =
-  let nfull = t.len / t.chunk in
-  if nfull > 0 then begin
-    let ranges =
-      Array.init nfull (fun c -> (c * t.chunk, (c + 1) * t.chunk))
-    in
-    let sketches =
-      Dut_engine.Parallel.map ~jobs:t.jobs
-        (fun (lo, hi) -> sketch_range t lo hi)
-        ranges
-    in
-    Array.iter t.on_chunk sketches;
-    t.emitted <- t.emitted + nfull;
-    let consumed = nfull * t.chunk in
-    let rest = t.len - consumed in
-    if rest > 0 then Array.blit t.buf consumed t.buf 0 rest;
-    t.len <- rest
-  end
+  t.len <- 0;
+  t.emitted <- t.emitted + 1;
+  t.on_chunk sk
 
 let feed t x =
   if t.flushed && t.fed mod t.chunk <> 0 then
@@ -81,18 +65,13 @@ let feed t x =
   t.buf.(t.len) <- x;
   t.len <- t.len + 1;
   t.fed <- t.fed + 1;
-  if t.len = Array.length t.buf then drain_full t
+  if t.len = t.chunk then emit t
 
 let feed_array t xs = Array.iter (feed t) xs
 
 let flush t =
   if not t.flushed then begin
-    drain_full t;
-    if t.len > 0 then begin
-      t.on_chunk (sketch_range t 0 t.len);
-      t.emitted <- t.emitted + 1;
-      t.len <- 0
-    end;
+    if t.len > 0 then emit t;
     t.flushed <- true
   end
 

@@ -1,10 +1,22 @@
 (* Mergeability drives every representation choice here: a sketch is a
-   config pointer plus an int bucket array plus a sample count, merge
-   is pointwise addition, and every statistic is a pure function of
-   that state — so merging chunk sketches in any grouping reproduces
-   the sketch of the concatenated stream exactly, which is what lets
-   Ingest parallelise chunks and the referee combine players without
-   touching the verdict bytes. *)
+   config pointer plus one int array plus a sample count, merging is
+   integer addition, and every statistic is a pure function of the
+   histogram the array stands for — so merging chunk sketches in any
+   grouping reproduces the sketch of the concatenated stream exactly,
+   which is what lets Ingest cut chunks and the referee combine players
+   without touching the verdict bytes.
+
+   What keeps the stream path O(chunk) rather than O(buckets) is the
+   shape of that one array for a Hist sketch: while the sketch is added
+   to and holds at most [nbuckets] samples it is a log of their bucket
+   indices, and only past that, or once merged into, a histogram
+   (converted once, in place). A 256-sample
+   chunk of a 4096-bucket exact sketch is then 256 words of log:
+   clearing it is O(1), and merging it into a histogram replays just
+   those samples. The collision-pair count of a histogram is kept as an
+   integer, updated per sample — a sample landing in a bucket of count
+   c adds c pairs — so an exact checkpoint reads it in O(1), and it is
+   the very integer the old fold over every bucket computed. *)
 
 type kind = Hist | Ams
 
@@ -146,15 +158,73 @@ let is_exact cfg = cfg.exact
 
 let null_rate cfg = cfg.c_null_rate
 
-type t = { cfg : config; counts : int array; mutable total : int }
+type t = {
+  cfg : config;
+  counts : int array;
+      (* [nbuckets] words. Hist: a log of bucket indices in
+         [counts.(0 .. total-1)] while [logged], the histogram after;
+         Ams: the K signed counters. *)
+  mutable total : int;
+  mutable logged : bool;  (* Hist only; an Ams sketch is never logged *)
+  mutable pairs : int;  (* Hist histogram: colliding pairs; 0 while logged *)
+}
 
 let m_samples = Dut_obs.Metrics.counter "stream.samples_ingested"
 
 let m_merges = Dut_obs.Metrics.counter "stream.sketch_merges"
 
-let create cfg = { cfg; counts = Array.make cfg.nbuckets 0; total = 0 }
+let create cfg =
+  {
+    cfg;
+    counts = Array.make cfg.nbuckets 0;
+    total = 0;
+    logged = cfg.ckind = Hist;
+    pairs = 0;
+  }
 
 let config_of t = t.cfg
+
+let check_config name a b =
+  if a.cfg != b.cfg && a.cfg <> b.cfg then
+    invalid_arg (name ^ ": differently-configured sketches")
+
+(* Count a log into this domain's scratch histogram [h] (O(samples),
+   whatever the bucket count) and return its collision pairs. *)
+let count_log t h =
+  let pairs = ref 0 in
+  for i = 0 to t.total - 1 do
+    pairs := !pairs + Dut_engine.Scratch.bump h t.counts.(i) - 1
+  done;
+  !pairs
+
+let scratch t = Dut_engine.Scratch.hist ~size:t.cfg.nbuckets
+
+(* The histogram view every statistic reads: bucket [b]'s count. For a
+   log it reads the domain's scratch histogram, so it is valid until
+   the next [scratch] call. *)
+let bucket_count t =
+  if t.logged then begin
+    let h = scratch t in
+    ignore (count_log t h);
+    Dut_engine.Scratch.count h
+  end
+  else Array.get t.counts
+
+(* Log -> histogram, once per sketch lifetime (until [clear]), in place
+   through the scratch histogram. *)
+let to_histogram t =
+  let h = scratch t in
+  let pairs = count_log t h in
+  for b = 0 to t.cfg.nbuckets - 1 do
+    t.counts.(b) <- Dut_engine.Scratch.count h b
+  done;
+  t.pairs <- pairs;
+  t.logged <- false
+
+let bump t b =
+  let c = t.counts.(b) in
+  t.pairs <- t.pairs + c;
+  t.counts.(b) <- c + 1
 
 let check_sample t x =
   if x < 0 || x >= t.cfg.n then invalid_arg "Sketch.add: sample out of range"
@@ -163,7 +233,12 @@ let add_unchecked t x =
   (match t.cfg.ckind with
   | Hist ->
       let b = bucket t.cfg x in
-      t.counts.(b) <- t.counts.(b) + 1
+      if not t.logged then bump t b
+      else if t.total < t.cfg.nbuckets then t.counts.(t.total) <- b
+      else begin
+        to_histogram t;
+        bump t b
+      end
   | Ams ->
       for k = 0 to t.cfg.nbuckets - 1 do
         t.counts.(k) <- t.counts.(k) + sign t.cfg k x
@@ -175,29 +250,115 @@ let add t x =
   add_unchecked t x;
   Dut_obs.Metrics.incr m_samples
 
-let add_array t xs =
-  Array.iter (check_sample t) xs;
-  Array.iter (add_unchecked t) xs;
-  Dut_obs.Metrics.add m_samples (Array.length xs)
+let add_range t xs ~lo ~hi =
+  if lo < 0 || hi < lo || hi > Array.length xs then
+    invalid_arg "Sketch.add_range: bad range";
+  for i = lo to hi - 1 do
+    check_sample t xs.(i)
+  done;
+  for i = lo to hi - 1 do
+    add_unchecked t xs.(i)
+  done;
+  Dut_obs.Metrics.add m_samples (hi - lo)
+
+let add_array t xs = add_range t xs ~lo:0 ~hi:(Array.length xs)
 
 let count t = t.total
 
 let words_used t = Array.length t.counts + header_words
 
-let merge a b =
-  if a.cfg != b.cfg && a.cfg <> b.cfg then
-    invalid_arg "Sketch.merge: differently-configured sketches";
-  Dut_obs.Metrics.incr m_merges;
-  {
-    cfg = a.cfg;
-    counts = Array.init (Array.length a.counts) (fun i -> a.counts.(i) + b.counts.(i));
-    total = a.total + b.total;
-  }
+let clear t =
+  (match t.cfg.ckind with
+  | Hist -> t.logged <- true
+  | Ams -> Array.fill t.counts 0 t.cfg.nbuckets 0);
+  t.total <- 0;
+  t.pairs <- 0
 
-let equal a b = a.cfg = b.cfg && a.total = b.total && a.counts = b.counts
+let blit ~src ~dst =
+  check_config "Sketch.blit" src dst;
+  Array.blit src.counts 0 dst.counts 0
+    (if src.logged then src.total else src.cfg.nbuckets);
+  dst.total <- src.total;
+  dst.logged <- src.logged;
+  dst.pairs <- src.pairs
+
+let copy t =
+  let c = create t.cfg in
+  blit ~src:t ~dst:c;
+  c
+
+let merge_into ~into src =
+  check_config "Sketch.merge_into" into src;
+  let src = if src == into then copy src else src in
+  Dut_obs.Metrics.incr m_merges;
+  let nb = into.cfg.nbuckets in
+  (match into.cfg.ckind with
+  | Ams ->
+      for k = 0 to nb - 1 do
+        into.counts.(k) <- into.counts.(k) + src.counts.(k)
+      done
+  | Hist when src.logged ->
+      (* Replay the log: O(samples merged), not O(buckets). *)
+      if into.logged then to_histogram into;
+      for i = 0 to src.total - 1 do
+        bump into src.counts.(i)
+      done
+  | Hist ->
+      if into.logged then to_histogram into;
+      (* pairs(a + s) = pairs(a) + pairs(s) + sum_b a_b s_b *)
+      let cross = ref 0 in
+      for b = 0 to nb - 1 do
+        let a = into.counts.(b) and s = src.counts.(b) in
+        cross := !cross + (a * s);
+        into.counts.(b) <- a + s
+      done;
+      into.pairs <- into.pairs + src.pairs + !cross);
+  into.total <- into.total + src.total
+
+let subtract ~from src =
+  check_config "Sketch.subtract" from src;
+  if src.total > from.total then
+    invalid_arg "Sketch.subtract: more samples than the sketch holds";
+  let nb = from.cfg.nbuckets in
+  (match from.cfg.ckind with
+  | Ams ->
+      for k = 0 to nb - 1 do
+        from.counts.(k) <- from.counts.(k) - src.counts.(k)
+      done
+  | Hist ->
+      if from.logged then to_histogram from;
+      if src.logged then
+        for i = 0 to src.total - 1 do
+          let b = src.counts.(i) in
+          let c = from.counts.(b) - 1 in
+          from.counts.(b) <- c;
+          from.pairs <- from.pairs - c
+        done
+      else begin
+        let cross = ref 0 in
+        for b = 0 to nb - 1 do
+          let s = src.counts.(b) in
+          let a = from.counts.(b) - s in
+          cross := !cross + (a * s);
+          from.counts.(b) <- a
+        done;
+        from.pairs <- from.pairs - src.pairs - !cross
+      end);
+  from.total <- from.total - src.total
+
+let merge a b =
+  let c = copy a in
+  merge_into ~into:c b;
+  c
+
+(* A fresh copy of the histogram view, for the comparisons below. *)
+let histogram t = Array.init t.cfg.nbuckets (bucket_count t)
+
+let equal a b =
+  a.cfg = b.cfg && a.total = b.total && histogram a = histogram b
 
 let fingerprint t =
-  let buf = Buffer.create (16 + (Array.length t.counts * 4)) in
+  let buf = Buffer.create (16 + (t.cfg.nbuckets * 4)) in
   Buffer.add_string buf (kind_to_string t.cfg.ckind);
   Buffer.add_char buf ':';
   Buffer.add_string buf (string_of_int t.total);
@@ -205,7 +366,7 @@ let fingerprint t =
     (fun c ->
       Buffer.add_char buf ',';
       Buffer.add_string buf (string_of_int c))
-    t.counts;
+    (histogram t);
   Buffer.contents buf
 
 (* -- statistics --------------------------------------------------------- *)
@@ -214,9 +375,7 @@ let pairs m = float_of_int m *. float_of_int (m - 1) /. 2.
 
 let collision_stat t =
   match t.cfg.ckind with
-  | Hist ->
-      float_of_int
-        (Array.fold_left (fun acc c -> acc + (c * (c - 1) / 2)) 0 t.counts)
+  | Hist -> float_of_int (if t.logged then count_log t (scratch t) else t.pairs)
   | Ams ->
       (* E[z_k^2] = sum_x c_x^2 = count + 2*pairs for pairwise
          independent ±1 signs; average the K unbiased estimates. *)
@@ -249,14 +408,14 @@ let excess t =
   match t.cfg.ckind with
   | Hist when t.cfg.exact -> collision_stat t -. null_mean t
   | Hist ->
+      let count = bucket_count t in
       let acc = ref 0. in
-      Array.iteri
-        (fun b c ->
-          let c = float_of_int c in
-          let mq = m *. t.cfg.c_loads.(b) in
-          let d = c -. mq in
-          acc := !acc +. ((d *. d) -. (c *. (1. -. t.cfg.c_loads.(b)))))
-        t.counts;
+      for b = 0 to t.cfg.nbuckets - 1 do
+        let c = float_of_int (count b) in
+        let mq = m *. t.cfg.c_loads.(b) in
+        let d = c -. mq in
+        acc := !acc +. ((d *. d) -. (c *. (1. -. t.cfg.c_loads.(b))))
+      done;
       !acc /. 2.
   | Ams ->
       let k = Array.length t.counts in

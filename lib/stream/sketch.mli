@@ -16,12 +16,25 @@
       estimate Σ_x c_x² and hence the collision-pair count, unbiased at
       any budget, with variance growing as the budget shrinks.
 
-    Both are {e mergeable}: [merge] is pointwise integer addition, so it
-    is exactly associative and commutative — [merge (merge a b) c],
-    [merge a (merge b c)] and any reordering produce structurally equal
-    sketches. All players (and all chunks of one player's stream) must
-    share one {!config}: the hash salt derives from the root seed, so a
-    distributed fleet agrees on bucket assignments by construction.
+    Both are {e mergeable}: merging is integer addition of the
+    histograms (resp. counters), so it is exactly associative and
+    commutative — [merge (merge a b) c], [merge a (merge b c)] and any
+    reordering produce {!equal} sketches. All players (and all chunks of
+    one player's stream) must share one {!config}: the hash salt derives
+    from the root seed, so a distributed fleet agrees on bucket
+    assignments by construction.
+
+    {b Cost.} A [Hist] sketch keeps its one bucket-sized array as a
+    {e log} of bucket indices while it is filled by {!add} with at most
+    {!buckets} samples, and as a histogram once it outgrows that or is
+    merged into (converted once, in place). So a short chunk costs its
+    samples, not the bucket count: clearing it is O(1), and
+    {!merge_into} replays only its samples. The
+    histogram's collision-pair count is kept as an integer, so
+    {!collision_stat} of an exact histogram is O(1). Statistics,
+    {!equal} and {!fingerprint} see only the histogram view; a logged
+    sketch is counted through the domain's
+    {!Dut_engine.Scratch.hist} (O(samples)) when a statistic asks.
 
     Memory claims are measured, not asserted: {!words_used} counts the
     words a sketch actually holds (bucket array plus a fixed
@@ -90,29 +103,74 @@ val add : t -> int -> unit
 
     @raise Invalid_argument if the sample is outside [0 .. n-1]. *)
 
+val add_range : t -> int array -> lo:int -> hi:int -> unit
+(** [add_range t xs ~lo ~hi] ingests [xs.(lo) .. xs.(hi-1)] in order:
+    every sample is range-checked before any is added, and the range is
+    tallied once as [stream.samples_ingested].
+
+    @raise Invalid_argument if the range is not within [xs] or a sample
+    is outside [0 .. n-1] (then nothing is added). *)
+
 val add_array : t -> int array -> unit
+(** [add_range] over the whole array. *)
 
 val count : t -> int
 (** Samples ingested so far. *)
 
 val words_used : t -> int
 (** Measured footprint in words: bucket array length plus
-    {!header_words}. By construction [words_used t <= budget_words]. *)
+    {!header_words} — everything the sketch holds, log or histogram. By
+    construction [words_used t <= budget_words]. *)
 
-val merge : t -> t -> t
-(** Pointwise sum, as a fresh sketch; both inputs are left untouched.
-    Exactly associative and commutative. Tallied as
+val clear : t -> unit
+(** Empty the sketch in place, keeping its array: O(1) for [Hist]
+    (the sketch becomes an empty log), O(K) for [Ams]. *)
+
+val copy : t -> t
+(** A fresh sketch with the same state. *)
+
+val blit : src:t -> dst:t -> unit
+(** Overwrite [dst]'s state with [src]'s, reusing [dst]'s array:
+    O(samples) while [src] is a log.
+
+    @raise Invalid_argument if the configs differ. *)
+
+val merge_into : into:t -> t -> unit
+(** [merge_into ~into src] adds [src] into [into] in place; [src] is
+    left untouched. Afterwards [into] equals the sketch of [into]'s
+    stream followed by [src]'s, and is a histogram. O(samples of [src])
+    when [src] is a log, O(buckets) otherwise, plus a one-time
+    O(buckets) conversion when [into] is still a log. Tallied once as
     [stream.sketch_merges].
 
     @raise Invalid_argument if the two sketches were built from
     different configs. *)
 
+val merge : t -> t -> t
+(** [merge a b] is a {!copy} of [a] with [b] merged into it; both
+    inputs are left untouched. Exactly associative and commutative.
+
+    @raise Invalid_argument as {!merge_into}. *)
+
+val subtract : from:t -> t -> unit
+(** [subtract ~from src] removes from [from] a sketch that was merged
+    into it earlier — the sliding-window eviction of {!Anytime}. Counts
+    are integers, so the result equals the merge of what remains.
+    O(samples of [src]) when [src] is a log (plus a one-time O(buckets)
+    conversion when [from] is one). Not tallied. The result is
+    unspecified if [src] was never merged into [from].
+
+    @raise Invalid_argument if the configs differ or [src] holds more
+    samples than [from]. *)
+
 val equal : t -> t -> bool
-(** Structural equality (same config, same counts, same buckets). *)
+(** Equality of the sketched state: same config, same count, same
+    histogram (resp. counters), whatever the representation. *)
 
 val fingerprint : t -> string
-(** A stable textual digest of the full sketch state; equal sketches
-    have equal fingerprints. Used by the determinism tests. *)
+(** A stable textual digest of the histogram (resp. counters) and the
+    count; equal sketches have equal fingerprints. Used by the
+    determinism tests. *)
 
 (** {2 The collision statistic} *)
 

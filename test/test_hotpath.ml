@@ -487,6 +487,22 @@ let test_search_seeded_counts_fewer_probes_when_guess_is_close () =
 
 (* -- Allocation budget ---------------------------------------------------- *)
 
+(* A bounded draw allocates nothing: [Rng.int]'s mask and rejection loop
+   are top-level recursions, so no closure is built per call (without
+   flambda a local [let rec] capturing the bound cost four words a
+   draw). *)
+let test_rng_int_allocates_nothing () =
+  let r = rng 7 in
+  let acc = ref (Dut_prng.Rng.int r 7) in
+  let words0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Dut_prng.Rng.int r 7
+  done;
+  let words = Gc.minor_words () -. words0 in
+  ignore (Sys.opaque_identity !acc);
+  Alcotest.(check (float 0.)) "minor words over 10,000 Rng.int r 7 draws" 0.
+    words
+
 (* Minor-heap words per Monte-Carlo trial allowed on the hot path at a
    fixed workload: fast profile, 60-trial probes, jobs 1. Each cap is
    about twice the figure measured when it was set, so jitter passes
@@ -497,9 +513,10 @@ let words_per_trial_caps =
   [
     ("A1-ablation", 800.);
     ("T13-local-model", 115_000.);
-    ("T16-gossip", 9_600.);
+    ("T16-gossip", 7_100.);
     ("T19-byzantine", 1_700.);
     ("T20-open-problem", 300.);
+    ("T21-stream", 270_000.);
   ]
 
 let test_allocation_budget () =
@@ -585,6 +602,8 @@ let () =
         [
           Alcotest.test_case "words per trial within budget" `Slow
             test_allocation_budget;
+          Alcotest.test_case "Rng.int allocates nothing" `Quick
+            test_rng_int_allocates_nothing;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

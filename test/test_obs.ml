@@ -200,6 +200,33 @@ let test_histogram_small_values_exact () =
     (Json.Obj [ ("count", Json.Num 0.) ])
     (Histogram.summary_json (Histogram.create ()))
 
+(* A compact snapshot holds the bucket range it saw, not all 960
+   buckets, so a reader that keeps one per pass pays for what it holds;
+   it stays equal to its source and grows back when added to. *)
+let test_histogram_snapshot_words () =
+  let words h = Obj.reachable_words (Obj.repr h) in
+  let recorded = hist_of_list [ 3; 7; 12 ] in
+  let empty = Histogram.compact (Histogram.create ()) in
+  let small = Histogram.compact recorded in
+  Alcotest.(check bool) "empty snapshot under 4 words" true (words empty < 4);
+  Alcotest.(check bool) "snapshot up to bucket 12 under 20 words" true
+    (words small < 20);
+  Alcotest.(check bool) "equal to its source" true
+    (Histogram.equal small recorded && Histogram.equal recorded small);
+  Alcotest.(check bool) "empty equals an empty diff" true
+    (Histogram.equal empty (Histogram.diff recorded recorded));
+  let grown = Histogram.compact recorded in
+  Histogram.record grown 1_000_000;
+  Histogram.merge_into ~into:empty recorded;
+  Alcotest.(check int) "grows when recorded into" 4 (Histogram.count grown);
+  Alcotest.(check bool) "grows when merged into" true
+    (Histogram.equal empty recorded);
+  List.iter
+    (fun (name, h) ->
+      if words h >= 2 * Histogram.buckets then
+        Alcotest.failf "snapshot of %s holds %d words" name (words h))
+    (Metrics.histogram_snapshot ())
+
 let prop_hist_json_roundtrip =
   QCheck.Test.make
     ~name:"to_json/of_json is an exact roundtrip (the fleet-merge codec)"
@@ -668,7 +695,11 @@ let () =
               prop_hist_buckets_bracket;
               prop_hist_quantile_brackets_exact;
               prop_hist_json_roundtrip;
-            ] );
+            ]
+        @ [
+            Alcotest.test_case "snapshot words follow its range" `Quick
+              test_histogram_snapshot_words;
+          ] );
       ( "clock",
         [
           Alcotest.test_case "now_ns monotone across domains" `Quick

@@ -1,10 +1,14 @@
 (* Tests for Dut_stream and the engine's incremental fold: sketch merge
    laws (exact associativity/commutativity — the property parallel
-   chunking and player merging rely on), measured memory accounting,
-   byte-identical verdict streams across jobs counts, sliding/growing
+   chunking and player merging rely on — and in-place merging in both
+   the log and the histogram representation), measured memory
+   accounting, byte-identical verdict streams across jobs counts and
+   against digests recorded before merges went in place, the running
+   sliding window against a re-merge of its chunks, sliding/growing
    agreement on stationary streams, the anytime-final == batch-verdict
-   contract on exact sketches, and fold_chunks determinism plus its
-   per-chunk deadline granularity. *)
+   contract on exact sketches, the stream path's steady-state
+   allocation, and fold_chunks determinism plus its per-chunk deadline
+   granularity. *)
 
 module Sketch = Dut_stream.Sketch
 module Ingest = Dut_stream.Ingest
@@ -67,6 +71,44 @@ let prop_merge_is_concat =
       let merged = Sketch.merge (sketch_of cfg a) (sketch_of cfg b) in
       Sketch.equal merged (sketch_of cfg (Array.append a b)))
 
+(* Streams from empty to twice the bucket count, so that both the
+   sketch merged into and the one merged are seen as a log (at most
+   [buckets] samples) and as a histogram; [into] first holds and
+   clears a stream, so a cleared array is reused too. *)
+let merge_into_input =
+  QCheck.make
+    QCheck.Gen.(
+      let* cfg, n, _ = config_gen in
+      let len = int_range 0 ((2 * Sketch.buckets cfg) + 1) in
+      let* stale = array_size len (int_range 0 (n - 1)) in
+      let* a = array_size len (int_range 0 (n - 1)) in
+      let* b = array_size len (int_range 0 (n - 1)) in
+      return (cfg, stale, a, b))
+    ~print:(fun (cfg, stale, a, b) ->
+      Printf.sprintf "kind=%s n=%d buckets=%d |stale|=%d |a|=%d |b|=%d"
+        (Sketch.kind_to_string (Sketch.kind_of cfg))
+        (Sketch.universe cfg) (Sketch.buckets cfg) (Array.length stale)
+        (Array.length a) (Array.length b))
+
+(* Every statistic, compared bit for bit. *)
+let same_stats x y =
+  let bits f = Int64.bits_of_float (f x) = Int64.bits_of_float (f y) in
+  bits Sketch.collision_stat && bits Sketch.excess && bits Sketch.null_sd
+  && bits Sketch.decision_stat
+  && bits (fun sk -> Sketch.cutoff sk ~eps:0.3)
+
+let prop_merge_into_is_concat =
+  QCheck.Test.make ~name:"merge_into = sketch of concatenated stream"
+    ~count:300 merge_into_input (fun (cfg, stale, a, b) ->
+      let into = sketch_of cfg stale in
+      Sketch.clear into;
+      feed_all into a;
+      Sketch.merge_into ~into (sketch_of cfg b);
+      let whole = sketch_of cfg (Array.append a b) in
+      Sketch.equal into whole
+      && String.equal (Sketch.fingerprint into) (Sketch.fingerprint whole)
+      && same_stats into whole)
+
 let prop_words_within_budget =
   QCheck.Test.make ~name:"words_used never exceeds budget" ~count:200
     merge_input (fun (cfg, budget, a, b, _) ->
@@ -85,7 +127,7 @@ let test_words_within_budget_fixed () =
       let chunks = ref [] in
       let ing =
         Ingest.create ~jobs:1 ~chunk:1024
-          ~on_chunk:(fun sk -> chunks := sk :: !chunks)
+          ~on_chunk:(fun sk -> chunks := Sketch.copy sk :: !chunks)
           cfg
       in
       let rng = Rng.create n in
@@ -170,7 +212,7 @@ let test_ingest_chunking () =
   let emitted = ref [] in
   let ing =
     Ingest.create ~jobs:1 ~chunk:16
-      ~on_chunk:(fun sk -> emitted := sk :: !emitted)
+      ~on_chunk:(fun sk -> emitted := Sketch.copy sk :: !emitted)
       cfg
   in
   let rng = Rng.create 11 in
@@ -293,6 +335,168 @@ let test_anytime_matches_batch () =
   done;
   Alcotest.(check int) "all cases compared" 60 !cases
 
+let window_input =
+  QCheck.make
+    QCheck.Gen.(
+      let* cfg, n, _ = config_gen in
+      let* w = int_range 1 5 in
+      let* chunks =
+        list_size (int_range 1 12)
+          (array_size
+             (int_range 0 ((2 * Sketch.buckets cfg) + 1))
+             (int_range 0 (n - 1)))
+      in
+      return (cfg, w, chunks))
+    ~print:(fun (cfg, w, chunks) ->
+      Printf.sprintf "kind=%s n=%d buckets=%d w=%d chunks=[%s]"
+        (Sketch.kind_to_string (Sketch.kind_of cfg))
+        (Sketch.universe cfg) (Sketch.buckets cfg) w
+        (String.concat ";"
+           (List.map (fun c -> string_of_int (Array.length c)) chunks)))
+
+(* After every chunk, the running sliding window equals the merge of
+   its last [w] chunks, and its verdict is computed from exactly that
+   sketch. *)
+let prop_sliding_window_is_remerge =
+  QCheck.Test.make ~name:"sliding window = re-merge of last w chunks"
+    ~count:200 window_input (fun (cfg, w, chunks) ->
+      let referee = Anytime.create ~window:(Anytime.Sliding w) ~eps:0.3 cfg in
+      let chunk = Sketch.create cfg in
+      let rec go seen = function
+        | [] -> true
+        | xs :: rest ->
+            (* One reused chunk sketch, as Ingest hands them out. *)
+            Sketch.clear chunk;
+            feed_all chunk xs;
+            let v = Option.get (Anytime.observe referee chunk) in
+            let seen = xs :: seen in
+            let last = List.filteri (fun i _ -> i < w) seen in
+            let remerged =
+              List.fold_left
+                (fun acc xs -> Sketch.merge (sketch_of cfg xs) acc)
+                (Sketch.create cfg) last
+            in
+            let win = Anytime.window_sketch referee in
+            Sketch.equal win remerged
+            && String.equal (Sketch.fingerprint win)
+                 (Sketch.fingerprint remerged)
+            && same_stats win remerged
+            && Int64.bits_of_float v.Anytime.stat
+               = Int64.bits_of_float (Sketch.excess remerged)
+            && v.Anytime.window_samples = Sketch.count remerged
+            && go seen rest
+      in
+      go [] chunks)
+
+(* -- pinned verdict bits -------------------------------------------------- *)
+
+(* One fixed stream per universe: uniform, then 20 chunks drawn from a
+   sixteenth of the domain (far from uniform), then uniform again, and
+   a 100-sample partial chunk. *)
+let pinned_stream n =
+  let rng = Rng.create 2019 in
+  Array.init ((64 * 256) + 100) (fun i ->
+      let c = i / 256 in
+      if c >= 30 && c < 50 then Rng.int rng (n / 16) else Rng.int rng n)
+
+(* MD5 of the verdict stream with every float as %h — its bits, not six
+   digits — ending with the final verdict. *)
+let verdict_digest ~kind ~n ~budget ~window ~jobs =
+  let cfg = Sketch.config ~kind ~n ~budget_words:budget ~seed:2019 in
+  let referee = Anytime.create ~window ~eps:0.25 cfg in
+  let ing =
+    Ingest.create ~jobs ~chunk:256
+      ~on_chunk:(fun sk -> ignore (Anytime.observe referee sk))
+      cfg
+  in
+  Ingest.feed_array ing (pinned_stream n);
+  Ingest.flush ing;
+  let line (v : Anytime.verdict) =
+    Printf.sprintf "%d %d %d %h %h %b %h" v.index v.samples_seen
+      v.window_samples v.stat v.threshold v.reject v.alpha_spent
+  in
+  Anytime.verdicts referee @ [ Anytime.final referee ]
+  |> List.map line |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+(* The modes the run-all goldens do not cover. The digests were recorded
+   while merges still built fresh sketches and sliding windows re-merged
+   their chunks at every checkpoint, so they pin the in-place merges,
+   the incremental collision count and the running window to that
+   arithmetic, bit for bit. *)
+let test_pinned_verdict_bits () =
+  List.iter
+    (fun (name, kind, n, budget, window, digest) ->
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s, jobs %d" name jobs)
+            digest
+            (verdict_digest ~kind ~n ~budget ~window ~jobs))
+        [ 1; 2 ])
+    [
+      ( "exact n=4096 growing", Sketch.Hist, 4096, Sketch.exact_budget ~n:4096,
+        Anytime.Growing, "f29c2d33ca3ef22deea4843ca3814591" );
+      ( "exact n=4096 sliding 8", Sketch.Hist, 4096,
+        Sketch.exact_budget ~n:4096, Anytime.Sliding 8,
+        "8a530b1e79a5d236fba32a75a4e524fd" );
+      ( "hashed n=256 budget 40 sliding 3", Sketch.Hist, 256, 40,
+        Anytime.Sliding 3, "e80f2a944893814a6a65d1b90a8274ed" );
+      ( "ams n=256 budget 40 growing", Sketch.Ams, 256, 40, Anytime.Growing,
+        "06f33ebbf8517acdf46072fc2f3cfadb" );
+      ( "ams n=256 budget 40 sliding 3", Sketch.Ams, 256, 40,
+        Anytime.Sliding 3, "023a8442a38867eb9d3d425bbb7e65bd" );
+    ]
+
+(* -- steady-state allocation ---------------------------------------------- *)
+
+(* Words allocated per chunk on the stream path once it is warm: minor
+   words plus the words allocated straight into the major heap (major
+   minus promoted) — a bucket-sized array of 4096 words is too large
+   for the minor heap, so [Gc.minor_words] alone would not see one. *)
+let words_per_chunk window =
+  let n = 4096 and chunk = 256 and block = 16_384 in
+  let cfg =
+    Sketch.config ~kind:Sketch.Hist ~n ~budget_words:(Sketch.exact_budget ~n)
+      ~seed:2019
+  in
+  let referee = Anytime.create ~window ~eps:0.25 cfg in
+  let ing =
+    Ingest.create ~jobs:2 ~chunk
+      ~on_chunk:(fun sk -> ignore (Anytime.observe referee sk))
+      cfg
+  in
+  let rng = Rng.create 2019 in
+  let blocks = Array.init 17 (fun _ -> Array.init block (fun _ -> Rng.int rng n)) in
+  Ingest.feed_array ing blocks.(0);
+  let s0 = Gc.quick_stat () and minor0 = Gc.minor_words () in
+  for b = 1 to 16 do
+    Ingest.feed_array ing blocks.(b)
+  done;
+  let minor1 = Gc.minor_words () and s1 = Gc.quick_stat () in
+  let direct s = s.Gc.major_words -. s.Gc.promoted_words in
+  let chunks = 16 * block / chunk in
+  (minor1 -. minor0 +. direct s1 -. direct s0) /. float_of_int chunks
+
+(* About 30 words per chunk are the checkpoint's verdict (a record, its
+   three boxed floats, the option and the list cell the referee keeps)
+   and the ingest clock and histogram. A cap of 100 leaves room for
+   that to move, and fails at once if any per-chunk bucket-sized
+   array (4096 words) comes back. *)
+let words_per_chunk_cap = 100.
+
+let test_steady_state_allocation () =
+  List.iter
+    (fun window ->
+      let words = words_per_chunk window in
+      Printf.printf "%-10s %8.1f words/chunk (cap %.0f)\n%!"
+        (Anytime.window_to_string window)
+        words words_per_chunk_cap;
+      if words > words_per_chunk_cap then
+        Alcotest.failf "%s window: %.1f words per chunk exceed the cap of %.0f"
+          (Anytime.window_to_string window)
+          words words_per_chunk_cap)
+    [ Anytime.Growing; Anytime.Sliding 8 ]
+
 (* -- fold_chunks --------------------------------------------------------- *)
 
 let test_fold_chunks_deterministic () =
@@ -365,6 +569,7 @@ let () =
           [
             prop_merge_commutative; prop_merge_associative;
             prop_merge_is_concat; prop_words_within_budget;
+            prop_merge_into_is_concat;
           ] );
       ( "sketch",
         [
@@ -385,6 +590,11 @@ let () =
             test_sliding_growing_agree_stationary;
           Alcotest.test_case "final matches batch tester" `Quick
             test_anytime_matches_batch;
+          QCheck_alcotest.to_alcotest prop_sliding_window_is_remerge;
+          Alcotest.test_case "pinned verdict bits" `Quick
+            test_pinned_verdict_bits;
+          Alcotest.test_case "steady-state words per chunk" `Quick
+            test_steady_state_allocation;
         ] );
       ( "fold_chunks",
         [

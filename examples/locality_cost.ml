@@ -33,12 +33,12 @@ let () =
   in
 
   critical "AND rule (local decision)" (fun q ->
-      Dut_core.And_tester.tester ~n ~eps ~k ~q);
+      Dut_core.Comparison_graph.tester_fixed ~n ~eps ~k ~q ~t:1 Clique);
   critical "reject-threshold T=4" (fun q ->
-      Dut_core.Threshold_tester.tester_fixed ~n ~eps ~k ~q ~t:4);
+      Dut_core.Comparison_graph.tester_fixed ~n ~eps ~k ~q ~t:4 Clique);
   critical "calibrated count (global)" (fun q ->
-      Dut_core.Threshold_tester.tester_majority ~n ~eps ~k ~q
-        ~calibration_trials:250 ~rng:(Dut_prng.Rng.split rng));
+      Dut_core.Comparison_graph.tester_majority ~n ~eps ~k ~q
+        ~calibration_trials:250 ~rng:(Dut_prng.Rng.split rng) Clique);
 
   Printf.printf "\nso: no, it cannot be local for free — the AND rule pays\n";
   Printf.printf "roughly the centralized cost, while the global rule gets the\n";

@@ -37,11 +37,11 @@ let () =
   Printf.printf "distributed tester: k = %d players x q = %d samples\n" k q;
   Printf.printf "  (vs %d samples for the centralized tester)\n" m;
   let tester =
-    Dut_core.Threshold_tester.tester_majority ~n ~eps ~k ~q
-      ~calibration_trials:300 ~rng:(Dut_prng.Rng.split rng)
+    Dut_core.Comparison_graph.tester_majority ~n ~eps ~k ~q
+      ~calibration_trials:300 ~rng:(Dut_prng.Rng.split rng) Clique
   in
   let verdict source =
-    if tester.accepts (Dut_prng.Rng.split rng) source then "accept" else "reject"
+    if tester (Dut_prng.Rng.split rng) source then "accept" else "reject"
   in
   Printf.printf "  on uniform input: %s\n"
     (verdict (Dut_protocol.Network.uniform_source ~n));

@@ -40,8 +40,8 @@ let () =
   Printf.printf "gate: distributed uniformity test, %d samples per shard\n\n" q;
 
   let gate =
-    Dut_core.Threshold_tester.tester_majority ~n ~eps ~k:shards ~q
-      ~calibration_trials:300 ~rng:(Dut_prng.Rng.split rng)
+    Dut_core.Comparison_graph.tester_majority ~n ~eps ~k:shards ~q
+      ~calibration_trials:300 ~rng:(Dut_prng.Rng.split rng) Clique
   in
 
   let check name pmf =
@@ -51,7 +51,7 @@ let () =
     let passes = ref 0 in
     for _ = 1 to 5 do
       if
-        gate.accepts (Dut_prng.Rng.split rng)
+        gate (Dut_prng.Rng.split rng)
           (Dut_protocol.Network.of_sampler sampler)
       then incr passes
     done;

@@ -34,10 +34,12 @@ let () =
 
   List.iter
     (fun q ->
-      let and_tester = Dut_core.And_tester.tester ~n ~eps ~k ~q in
+      let and_tester =
+        Dut_core.Comparison_graph.tester_fixed ~n ~eps ~k ~q ~t:1 Clique
+      in
       let vote_tester =
-        Dut_core.Threshold_tester.tester_majority ~n ~eps ~k ~q
-          ~calibration_trials:300 ~rng:(Dut_prng.Rng.split rng)
+        Dut_core.Comparison_graph.tester_majority ~n ~eps ~k ~q
+          ~calibration_trials:300 ~rng:(Dut_prng.Rng.split rng) Clique
       in
       let rates tester =
         let p =

@@ -25,27 +25,25 @@ let () =
   let player ~index:_ _coins samples =
     Dut_core.Local_stat.vote_midpoint ~n ~q:64 ~eps:0.3 samples
   in
-  let transcript =
-    Dut_protocol.Network.round ~rng
+  let (_ : bool) =
+    Dut_protocol.Network.round_accept ~rng
       ~source:(Dut_protocol.Network.of_paninski hard)
       ~k:32 ~q:64 ~player ~rule:Dut_protocol.Rule.Majority
   in
-  assert (Array.length transcript.votes = 32);
   let tester =
-    Dut_core.Threshold_tester.tester_majority ~n ~eps:0.3 ~k:32 ~q:64
-      ~calibration_trials:300 ~rng:(Dut_prng.Rng.split rng)
+    Dut_core.Comparison_graph.tester_majority ~n ~eps:0.3 ~k:32 ~q:64
+      ~calibration_trials:300 ~rng:(Dut_prng.Rng.split rng) Clique
   in
   let (_ : bool) =
-    tester.accepts (Dut_prng.Rng.split rng)
-      (Dut_protocol.Network.uniform_source ~n)
+    tester (Dut_prng.Rng.split rng) (Dut_protocol.Network.uniform_source ~n)
   in
 
   (* §4 Measuring sample complexity (tiny budget here) *)
   let q_star =
     Dut_core.Evaluate.critical_q ~trials:30 ~level:0.7 ~rng ~ell:7 ~eps:0.3
       ~hi:4000 (fun q ->
-        Dut_core.Threshold_tester.tester_majority ~n ~eps:0.3 ~k:32 ~q
-          ~calibration_trials:60 ~rng:(Dut_prng.Rng.split rng))
+        Dut_core.Comparison_graph.tester_majority ~n ~eps:0.3 ~k:32 ~q
+          ~calibration_trials:60 ~rng:(Dut_prng.Rng.split rng) Clique)
   in
   let predicted = Dut_core.Bounds.thm11_lower ~n ~k:32 ~eps:0.3 in
   (match q_star with

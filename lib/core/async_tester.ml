@@ -12,11 +12,9 @@ let reject_count t rng source =
   let player ~index (_coins : Dut_prng.Rng.t) samples =
     Local_stat.vote_midpoint ~n:t.n ~q:t.qs.(index) ~eps:t.eps samples
   in
-  let round =
-    Dut_protocol.Network.round_rates ~rng ~source ~qs:t.qs ~player
-      ~rule:Dut_protocol.Rule.Majority
-  in
-  Array.fold_left (fun acc v -> if v then acc else acc + 1) 0 round.votes
+  Dut_protocol.Network.round_rates ~rng ~source ~qs:t.qs ~messenger:player
+    ~init:0
+    ~f:(fun rejects accept -> if accept then rejects else rejects + 1)
 
 let make ~n ~eps ~rates ~tau ~calibration_trials ~rng =
   if n <= 0 then invalid_arg "Async_tester.make: bad n";
@@ -42,12 +40,7 @@ let sample_counts t = Array.copy t.qs
 let accepts t rng source = reject_count t rng source < t.referee_cutoff
 
 let tester ~n ~eps ~rates ~tau ~calibration_trials ~rng =
-  let t = make ~n ~eps ~rates ~tau ~calibration_trials ~rng in
-  {
-    Evaluate.name =
-      Printf.sprintf "async(n=%d,k=%d,tau=%.1f)" n (Array.length rates) tau;
-    accepts = accepts t;
-  }
+  accepts (make ~n ~eps ~rates ~tau ~calibration_trials ~rng)
 
 let critical_tau ~trials ~level ~rng ~ell ~eps ~rates ~calibration_trials
     ?(hi = 1 lsl 20) () =

@@ -23,10 +23,6 @@ let thm13_threshold_lower ~n ~k ~eps ~t =
   let lg = log (fi k /. eps) in
   sqrt (fi n) /. (fi t *. lg *. lg *. eps *. eps)
 
-let thm13_applies ~n ~k ~eps ~t ~c =
-  let lg = log (fi k /. eps) in
-  fi k <= sqrt (fi n) && fi t < c /. (eps *. eps *. lg *. lg)
-
 let thm14_learning_nodes ~n ~q = fi n *. fi n /. (fi q *. fi q)
 
 let thm64_rbit_lower ~n ~k ~eps ~r =

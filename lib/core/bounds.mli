@@ -32,8 +32,6 @@ val thm13_threshold_lower : n:int -> k:int -> eps:float -> t:int -> float
 (** Theorem 1.3: Ω(√n/(T·log²(k/ε)·ε²)) per player under the T-threshold
     rule, valid for T < c/(ε²·log²(k/ε)) and k ≤ √n. *)
 
-val thm13_applies : n:int -> k:int -> eps:float -> t:int -> c:float -> bool
-
 val thm14_learning_nodes : n:int -> q:int -> float
 (** Theorem 1.4: Ω(n²/q²) nodes to learn a δ-approximation with q
     queries per node. *)

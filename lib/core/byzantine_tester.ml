@@ -45,10 +45,7 @@ let accepts t ~adversary ~truth_is_far rng source =
 let tester ~n ~eps ~k ~q ~byzantine ~adversary ~calibration_trials ~rng ~far_flag
     =
   let t = make ~n ~eps ~k ~q ~byzantine ~calibration_trials ~rng in
-  {
-    Evaluate.name = Printf.sprintf "byz(b=%d,k=%d,q=%d)" byzantine k q;
-    accepts = (fun rng source -> accepts t ~adversary ~truth_is_far:far_flag rng source);
-  }
+  accepts t ~adversary ~truth_is_far:far_flag
 
 let tolerated_faults ~n ~eps ~k ~q =
   let mu0 = Local_stat.null_mean ~n ~q in

@@ -16,8 +16,8 @@ type t = {
   triangle_count : int;
   (* Float edge/triangle counts fed to the cutoff core. For the clique
      these are computed by the same C(q,2)/C(q,3) float expressions
-     Local_stat's clique wrappers use, so clique cutoffs are
-     bit-identical to the hand-written testers' by construction. *)
+     Local_stat's clique wrappers use, so clique cutoffs equal
+     Local_stat's by construction. *)
   edges_f : float;
   triangles_f : float;
 }
@@ -274,8 +274,7 @@ let check ~n ~eps ~k ~q =
     invalid_arg "Comparison_graph: eps out of (0,1)"
 
 (* Cutoffs are functions of the tester alone: hoisted out of the player
-   closure, computed once per tester — the same discipline (and for the
-   clique the same floats) as the hand-written testers. *)
+   closure, computed once per tester. *)
 
 let tester_fixed ~n ~eps ~k ~q ~t:thr family =
   check ~n ~eps ~k ~q;
@@ -284,54 +283,27 @@ let tester_fixed ~n ~eps ~k ~q ~t:thr family =
   let g = build ~q family in
   (* The most detection-friendly per-player alarm rate that keeps the
      referee's null rejection probability (>= t alarms) under 1/3 with
-     margin — the same level the hand-written testers use. *)
+     margin (0.18: room for Monte-Carlo noise and the tail model). At
+     t = 1 this is the AND rule: any one alarm rejects. *)
   let false_alarm = Dut_stats.Tail.binomial_max_p ~k ~t:thr ~level:0.18 in
   let cutoff = alarm_cutoff ~n g ~false_alarm in
   let player ~index:_ _coins samples =
     Local_stat.accepts_alarm ~cutoff (statistic ~n g samples)
   in
-  {
-    Evaluate.name =
-      Printf.sprintf "graph-%s-T=%d(n=%d,k=%d,q=%d)" (family_name family) thr n
-        k q;
-    accepts =
-      (fun rng source ->
-        Dut_protocol.Network.round_accept ~rng ~source ~k ~q ~player
-          ~rule:(Dut_protocol.Rule.Reject_threshold thr));
-  }
+  fun rng source ->
+    Dut_protocol.Network.round_accept ~rng ~source ~k ~q ~player
+      ~rule:(Dut_protocol.Rule.Reject_threshold thr)
 
-let tester_and ~n ~eps ~k ~q family =
-  check ~n ~eps ~k ~q;
-  let g = build ~q family in
-  let false_alarm = Dut_stats.Tail.binomial_max_p ~k ~t:1 ~level:0.18 in
-  let cutoff = alarm_cutoff ~n g ~false_alarm in
-  let player ~index:_ _coins samples =
-    Local_stat.accepts_alarm ~cutoff (statistic ~n g samples)
-  in
-  {
-    Evaluate.name =
-      Printf.sprintf "graph-%s-and(n=%d,k=%d,q=%d)" (family_name family) n k q;
-    accepts =
-      (fun rng source ->
-        Dut_protocol.Network.round_accept ~rng ~source ~k ~q ~player
-          ~rule:Dut_protocol.Rule.And);
-  }
-
+(* One uniform round's reject count with midpoint-cutoff players: the
+   calibration statistic. *)
 let reject_count_midpoint ~n ~eps g k rng =
-  (* One uniform round's reject count with midpoint-cutoff players —
-     the calibration statistic, identical round shape (and for the
-     clique identical draws and votes) to the hand-written majority
-     tester's. *)
   let source = Dut_protocol.Network.uniform_source ~n in
   let cutoff = midpoint_cutoff ~n g ~eps in
-  let player ~index:_ _coins samples =
-    Local_stat.accepts_midpoint ~cutoff (statistic ~n g samples)
-  in
-  let round =
-    Dut_protocol.Network.round ~rng ~source ~k ~q:g.q ~player
-      ~rule:Dut_protocol.Rule.Majority
-  in
-  Array.fold_left (fun acc v -> if v then acc else acc + 1) 0 round.votes
+  Dut_protocol.Network.round_fold ~rng ~source ~k ~q:g.q
+    ~messenger:(fun ~index:_ _coins samples ->
+      Local_stat.accepts_midpoint ~cutoff (statistic ~n g samples))
+    ~init:0
+    ~f:(fun rejects accept -> if accept then rejects else rejects + 1)
 
 let tester_majority ~n ~eps ~k ~q ~calibration_trials ~rng family =
   check ~n ~eps ~k ~q;
@@ -349,12 +321,6 @@ let tester_majority ~n ~eps ~k ~q ~calibration_trials ~rng family =
   let player ~index:_ _coins samples =
     Local_stat.accepts_midpoint ~cutoff (statistic ~n g samples)
   in
-  {
-    Evaluate.name =
-      Printf.sprintf "graph-%s-majority(n=%d,k=%d,q=%d)" (family_name family) n
-        k q;
-    accepts =
-      (fun rng source ->
-        Dut_protocol.Network.round_accept ~rng ~source ~k ~q ~player
-          ~rule:(Dut_protocol.Rule.Reject_threshold referee_cutoff));
-  }
+  fun rng source ->
+    Dut_protocol.Network.round_accept ~rng ~source ~k ~q ~player
+      ~rule:(Dut_protocol.Rule.Reject_threshold referee_cutoff)

@@ -14,8 +14,7 @@
       {!Local_stat.collisions_bounded} (a scratch-histogram counting
       sort up to a 2{^16} universe, a sort beyond it), and its float
       edge/triangle counts use the same expressions as {!Local_stat}'s
-      clique wrappers, so clique-graph verdicts are bit-identical to
-      the hand-written testers' by construction.
+      clique wrappers, so clique cutoffs equal {!Local_stat}'s.
     - Non-clique statistics are a branch-free walk over a flattened,
       sorted edge array — no allocation per evaluation.
     - [Random_regular] graphs are a pure function of (q, degree, seed):
@@ -95,22 +94,22 @@ val vote_alarm : n:int -> false_alarm:float -> t -> int array -> bool
 
 (** {2 Testers}
 
-    Complete distributed testers over a graph family, with the same
-    referee rules, calibration, and false-alarm levels as the
-    hand-written zoo ([And_tester], [Threshold_tester]) — which are
-    themselves these constructors at [Clique]. *)
-
-val tester_and : n:int -> eps:float -> k:int -> q:int -> family -> Evaluate.tester
-(** AND referee: every player must accept. Players alarm at the
-    rare-alarm cutoff calibrated so the network's null rejection
-    probability stays under 1/3 (level 0.18 with t = 1). *)
+    The distributed testers of the paper's central contrast, over any
+    graph family: the classic ones are the [Clique] instances. *)
 
 val tester_fixed :
   n:int -> eps:float -> k:int -> q:int -> t:int -> family -> Evaluate.tester
-(** Reject-threshold referee: reject when at least [t] players alarm.
-    Per-player alarm rate from [Tail.binomial_max_p ~k ~t ~level:0.18].
+(** Reject-threshold referee (Theorem 1.3): reject when at least [t]
+    players alarm. Per-player alarm rate from
+    [Tail.binomial_max_p ~k ~t ~level:0.18], so the network's null
+    rejection probability stays under 1/3. [t = 1] is the AND rule of
+    Theorem 1.2 (any single alarm rejects; {!Dut_protocol.Rule.accept_min}
+    is k for both [And] and [Reject_threshold 1]).
 
-    @raise Invalid_argument if [t] is outside [1, k]. *)
+    @raise Invalid_argument on non-positive [n] or [k], negative [q],
+    eps outside (0,1) (["Comparison_graph: bad sizes"],
+    ["Comparison_graph: eps out of (0,1)"]), or [t] outside [1, k]
+    (["Comparison_graph.tester_fixed: t outside [1,k]"]). *)
 
 val tester_majority :
   n:int ->
@@ -121,7 +120,11 @@ val tester_majority :
   rng:Dut_prng.Rng.t ->
   family ->
   Evaluate.tester
-(** Calibrated-threshold referee over midpoint-cutoff players: the
-    referee cutoff is the empirical null reject-count quantile
+(** Calibrated-threshold referee over midpoint-cutoff players, the
+    shape of the sample-optimal tester of Theorem 1.1: the referee
+    cutoff is the empirical null reject-count quantile
     ([Calibrate.reject_count_cutoff ~level:0.2], [calibration_trials]
-    uniform rounds on a split of [rng]). *)
+    uniform rounds on a split of [rng]).
+
+    @raise Invalid_argument as {!tester_fixed} on bad sizes or eps, or
+    on non-positive [calibration_trials]. *)

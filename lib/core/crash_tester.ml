@@ -39,8 +39,6 @@ let make ~n ~eps ~k ~q ~crash_prob ~calibration_trials ~rng =
   let rate = Float.max 0.01 (Float.min 0.95 rate) in
   { n; eps; k; q; crash_prob; null_reject_rate = rate }
 
-let fraction_cutoff t = t.null_reject_rate
-
 let reject_cutoff t ~live =
   (* Smallest count whose null probability (under Bin(live, rate)) is at
      most 0.2. *)
@@ -59,9 +57,4 @@ let accepts t rng source =
   if live = 0 then false else rejects < reject_cutoff t ~live
 
 let tester ~n ~eps ~k ~q ~crash_prob ~calibration_trials ~rng =
-  let t = make ~n ~eps ~k ~q ~crash_prob ~calibration_trials ~rng in
-  {
-    Evaluate.name =
-      Printf.sprintf "crash(phi=%.2f,n=%d,k=%d,q=%d)" crash_prob n k q;
-    accepts = accepts t;
-  }
+  accepts (make ~n ~eps ~k ~q ~crash_prob ~calibration_trials ~rng)

@@ -26,10 +26,6 @@ val make :
 (** @raise Invalid_argument on bad sizes, eps outside (0,1), crash
     probability outside [0,1), or non-positive trials. *)
 
-val fraction_cutoff : t -> float
-(** The calibrated per-player null reject rate the binomial cutoffs are
-    built from. *)
-
 val reject_cutoff : t -> live:int -> int
 (** The reject-count cutoff applied when [live] players answered: the
     smallest count with null binomial tail ≤ 0.2. *)

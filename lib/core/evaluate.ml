@@ -1,7 +1,4 @@
-type tester = {
-  name : string;
-  accepts : Dut_prng.Rng.t -> Dut_protocol.Network.source -> bool;
-}
+type tester = Dut_prng.Rng.t -> Dut_protocol.Network.source -> bool
 
 type power = {
   uniform_accept : Dut_stats.Binomial_ci.t;
@@ -9,14 +6,14 @@ type power = {
 }
 
 let uniform_event ~n tester trial_rng =
-  tester.accepts trial_rng (Dut_protocol.Network.uniform_source ~n)
+  tester trial_rng (Dut_protocol.Network.uniform_source ~n)
 
 let far_event ~ell ~eps tester trial_rng =
   (* A fresh perturbation per trial (the mixture adversary), built in a
      per-domain scratch buffer: same draws as [Paninski.random], no
      per-trial allocation. *)
   let hard = Dut_dist.Paninski.random_scratch ~ell ~eps trial_rng in
-  not (tester.accepts trial_rng (Dut_protocol.Network.of_paninski hard))
+  not (tester trial_rng (Dut_protocol.Network.of_paninski hard))
 
 let measure ~trials ~rng ~ell ~eps tester =
   let n = 1 lsl (ell + 1) in

@@ -7,11 +7,9 @@
     The empirical "sample complexity" of a tester family is the least q
     at which both estimated probabilities clear a success level. *)
 
-type tester = {
-  name : string;
-  accepts : Dut_prng.Rng.t -> Dut_protocol.Network.source -> bool;
-      (** run one full round against a sampling oracle *)
-}
+type tester = Dut_prng.Rng.t -> Dut_protocol.Network.source -> bool
+(** A tester is its accept function: run one full round against a
+    sampling oracle, [true] = accept. *)
 
 type power = {
   uniform_accept : Dut_stats.Binomial_ci.t;

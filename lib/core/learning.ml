@@ -13,16 +13,11 @@ let estimate t rng source =
     let seen = Array.exists (fun s -> s = target) samples in
     (target, seen)
   in
-  let (_ : bool) =
-    Dut_protocol.Network.round_messages ~rng ~source ~k:t.k ~q:t.q ~messenger
-      ~referee:(fun messages ->
-        Array.iter
-          (fun (target, seen) ->
-            watchers.(target) <- watchers.(target) + 1;
-            if seen then hits.(target) <- hits.(target) + 1)
-          messages;
-        true)
-  in
+  Dut_protocol.Network.round_fold ~rng ~source ~k:t.k ~q:t.q ~messenger
+    ~init:()
+    ~f:(fun () (target, seen) ->
+      watchers.(target) <- watchers.(target) + 1;
+      if seen then hits.(target) <- hits.(target) + 1);
   (* Invert the hit rate: f = 1 - (1-p)^q  =>  p = 1 - (1-f)^(1/q). *)
   let raw =
     Array.init t.n (fun e ->

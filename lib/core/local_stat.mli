@@ -14,8 +14,8 @@
     over an arbitrary graph on the samples), and specialized to the
     clique (the classic all-pairs collision count, edges = C(q,2),
     triangles = C(q,3)). The clique wrappers are thin instantiations of
-    the core, so graph instances and the hand-written testers can never
-    disagree on shared cutoffs. *)
+    the core, so graph instances and the per-player votes of the other
+    testers can never disagree on shared cutoffs. *)
 
 val collisions : int array -> int
 (** Number of unordered equal pairs among the samples, by sorting a
@@ -66,8 +66,8 @@ val alarm_cutoff_edges :
     {e equal} to the cutoff rejects (alarms). Midpoint comparisons are
     in float space (exact — counts are far below 2^53), alarm
     comparisons in integer space. Every tester must decide through
-    these two functions so boundary counts cannot diverge between the
-    hand-written and the graph-instantiated paths. *)
+    these two functions so boundary counts cannot diverge between
+    testers. *)
 
 val accepts_midpoint : cutoff:float -> int -> bool
 (** [accepts_midpoint ~cutoff count] is [float count < cutoff]: accept

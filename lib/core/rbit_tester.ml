@@ -18,18 +18,12 @@ let quantize_raw ~levels ~null_mean ~null_std count =
   if idx < 0 then 0 else if idx >= levels then levels - 1 else idx
 
 let sum_round t rng source =
-  let total = ref 0 in
   let messenger ~index:_ _coins samples =
     quantize_raw ~levels:t.levels ~null_mean:t.null_mean ~null_std:t.null_std
       (Local_stat.collisions_bounded ~n:t.n samples)
   in
-  let (_ : bool) =
-    Dut_protocol.Network.round_messages ~rng ~source ~k:t.k ~q:t.q ~messenger
-      ~referee:(fun messages ->
-        total := Array.fold_left ( + ) 0 messages;
-        true)
-  in
-  !total
+  Dut_protocol.Network.round_fold ~rng ~source ~k:t.k ~q:t.q ~messenger ~init:0
+    ~f:( + )
 
 let make ~n ~eps ~k ~q ~bits ~calibration_trials ~rng =
   if n <= 0 || k <= 0 || q < 0 then invalid_arg "Rbit_tester.make: bad sizes";
@@ -58,8 +52,4 @@ let quantize t count =
 let accepts t rng source = float_of_int (sum_round t rng source) < t.referee_cutoff
 
 let tester ~n ~eps ~k ~q ~bits ~calibration_trials ~rng =
-  let t = make ~n ~eps ~k ~q ~bits ~calibration_trials ~rng in
-  {
-    Evaluate.name = Printf.sprintf "rbit-%d(n=%d,k=%d,q=%d)" bits n k q;
-    accepts = accepts t;
-  }
+  accepts (make ~n ~eps ~k ~q ~bits ~calibration_trials ~rng)

@@ -66,20 +66,12 @@ val best_and_over_strategies : ell:int -> q:int -> eps:float -> k:int -> float
 (** {2 Graph-space strategies}
 
     Comparison-graph players for the exact-LP search: a graph family
-    plus an alarm cutoff defines a player function, tabulated through
+    plus an alarm cutoff defines a player function — accept iff the
+    graph's edge-collision statistic is strictly below the cutoff, on
+    the universe n = 2^(ell+1) — tabulated through
     {!Exact.of_predicate} like any other strategy. The clique at every
     cutoff coincides with the collision-acceptor family, so the two
     searches cross-check each other for free. *)
-
-val graph_acceptor :
-  ell:int -> q:int -> cutoff:int -> Comparison_graph.family -> Exact.g
-(** The player accepting iff the graph's edge-collision statistic is
-    strictly below [cutoff] (universe n = 2^(ell+1)). *)
-
-val graph_strategy_family :
-  ell:int -> q:int -> Comparison_graph.family list -> (string * Exact.g) list
-(** For each family, the acceptors at every cutoff 1 .. edge_count + 1,
-    named ["graph-<family><<cutoff>"]. *)
 
 val best_over_graphs :
   ell:int ->
@@ -88,5 +80,6 @@ val best_over_graphs :
   k:int ->
   Comparison_graph.family list ->
   float * string
-(** Max of {!best_rule_value} over {!graph_strategy_family}, with the
-    winning strategy's name. *)
+(** Max of {!best_rule_value} over every family's players at every
+    cutoff 1 .. edge_count + 1, with the winning strategy's name,
+    ["graph-<family><<cutoff>"]. *)

@@ -95,11 +95,7 @@ let accepts t =
     float_of_int colliding < cutoff
 
 let tester ~n ~eps ~k ~bits =
-  let t = make ~n ~eps ~k ~bits in
-  {
-    Evaluate.name = Printf.sprintf "single-sample-%dbit(n=%d,k=%d)" bits n k;
-    accepts = accepts t;
-  }
+  accepts (make ~n ~eps ~k ~bits)
 
 let critical_k ?adaptive ~trials ~level ~rng ~ell ~eps ~bits ?(hi = 1 lsl 22)
     ?guess () =

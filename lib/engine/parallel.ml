@@ -46,12 +46,6 @@ let pool_lock = Mutex.create ()
 
 let shared : Pool.t option ref = ref None
 
-let shutdown_shared_pool () =
-  Mutex.lock pool_lock;
-  (match !shared with Some p -> Pool.shutdown p | None -> ());
-  shared := None;
-  Mutex.unlock pool_lock
-
 let with_pool ~jobs f =
   Mutex.lock pool_lock;
   let pool =

@@ -112,7 +112,3 @@ val count :
 (** Number of indices on which the predicate holds — the Monte-Carlo
     success counter. *)
 
-val shutdown_shared_pool : unit -> unit
-(** Tear down the process-wide pool backing these combinators (it is
-    re-created on demand). Useful in tests and at exit; safe to call
-    when no pool exists. *)

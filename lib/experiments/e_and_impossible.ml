@@ -2,18 +2,11 @@
    sample lands in a common set A. Under AND, only the per-player reject
    probability matters, so sweeping |A| covers all deterministic
    strategies; randomized local strategies are mixtures of these. *)
-let and_q1_tester ~k ~set_size =
-  {
-    Dut_core.Evaluate.name = Printf.sprintf "and-q1(k=%d,|A|=%d)" k set_size;
-    accepts =
-      (fun rng source ->
-        let player ~index:_ _coins samples = samples.(0) >= set_size in
-        let round =
-          Dut_protocol.Network.round ~rng ~source ~k ~q:1 ~player
-            ~rule:Dut_protocol.Rule.And
-        in
-        round.accept);
-  }
+let and_q1_tester ~k ~set_size : Dut_core.Evaluate.tester =
+  let player ~index:_ _coins samples = samples.(0) >= set_size in
+  fun rng source ->
+    Dut_protocol.Network.round_accept ~rng ~source ~k ~q:1 ~player
+      ~rule:Dut_protocol.Rule.And
 
 let run (cfg : Config.t) =
   let rng = Config.rng cfg in

@@ -1,3 +1,5 @@
+module Cg = Dut_core.Comparison_graph
+
 let run (cfg : Config.t) =
   let rng = Config.rng cfg in
   let ell, eps, ks =
@@ -33,13 +35,13 @@ let run (cfg : Config.t) =
           in
           let q_and =
             critical ?guess:guess_and (fun q ->
-                Dut_core.And_tester.tester ~n ~eps ~k ~q)
+                Cg.tester_fixed ~n ~eps ~k ~q ~t:1 Cg.Clique)
           in
           let q_maj =
             critical ?guess:guess_maj (fun q ->
-                Dut_core.Threshold_tester.tester_majority ~n ~eps ~k ~q
+                Cg.tester_majority ~n ~eps ~k ~q
                   ~calibration_trials:cfg.calibration_trials
-                  ~rng:(Dut_prng.Rng.split rng))
+                  ~rng:(Dut_prng.Rng.split rng) Cg.Clique)
           in
           let prev =
             match (q_and, q_maj) with

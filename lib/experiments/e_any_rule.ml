@@ -1,3 +1,5 @@
+module Cg = Dut_core.Comparison_graph
+
 let run (cfg : Config.t) =
   let rng = Config.rng cfg in
   let ell, eps, ks =
@@ -29,9 +31,9 @@ let run (cfg : Config.t) =
             Dut_core.Evaluate.critical_q ~adaptive:cfg.adaptive
               ~trials:cfg.trials ~level:cfg.level ~rng:(Dut_prng.Rng.split rng)
               ~ell ~eps ~hi ?guess (fun q ->
-                Dut_core.Threshold_tester.tester_majority ~n ~eps ~k ~q
+                Cg.tester_majority ~n ~eps ~k ~q
                   ~calibration_trials:cfg.calibration_trials
-                  ~rng:(Dut_prng.Rng.split rng))
+                  ~rng:(Dut_prng.Rng.split rng) Cg.Clique)
           in
           let prev = match qstar with Some q -> Some (k, q) | None -> prev in
           (prev, (k, qstar) :: acc))

@@ -24,9 +24,9 @@ let run (cfg : Config.t) =
              (fun r ->
                if far_flag then begin
                  let d = Dut_dist.Paninski.random ~ell ~eps r in
-                 not (tester.accepts r (Dut_protocol.Network.of_paninski d))
+                 not (tester r (Dut_protocol.Network.of_paninski d))
                end
-               else tester.accepts r (Dut_protocol.Network.uniform_source ~n)))
+               else tester r (Dut_protocol.Network.uniform_source ~n)))
             .estimate
         in
         let ua = measure ~far_flag:false in

@@ -1,11 +1,7 @@
-let centralized_tester ~n ~eps ~q =
-  {
-    Dut_core.Evaluate.name = Printf.sprintf "collision(n=%d,q=%d)" n q;
-    accepts =
-      (fun rng source ->
-        let samples = Array.init q (fun _ -> source rng) in
-        Dut_testers.Collision.test ~n ~eps samples);
-  }
+let centralized_tester ~n ~eps ~q : Dut_core.Evaluate.tester =
+ fun rng source ->
+  let samples = Array.init q (fun _ -> source rng) in
+  Dut_testers.Collision.test ~n ~eps samples
 
 let run (cfg : Config.t) =
   let rng = Config.rng cfg in

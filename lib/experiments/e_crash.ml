@@ -1,3 +1,5 @@
+module Cg = Dut_core.Comparison_graph
+
 let run (cfg : Config.t) =
   let rng = Config.rng cfg in
   let ell, eps, k =
@@ -27,9 +29,9 @@ let run (cfg : Config.t) =
         let k_eff = max 1 (int_of_float (Float.round ((1. -. phi) *. float_of_int k))) in
         let rua, rfr =
           power
-            (Dut_core.Threshold_tester.tester_majority ~n ~eps ~k:k_eff ~q
+            (Cg.tester_majority ~n ~eps ~k:k_eff ~q
                ~calibration_trials:cfg.calibration_trials
-               ~rng:(Dut_prng.Rng.split rng))
+               ~rng:(Dut_prng.Rng.split rng) Cg.Clique)
         in
         [
           Table.Float phi;

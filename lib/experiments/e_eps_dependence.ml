@@ -1,3 +1,5 @@
+module Cg = Dut_core.Comparison_graph
+
 let run (cfg : Config.t) =
   let rng = Config.rng cfg in
   let ell, k, epss =
@@ -25,15 +27,15 @@ let run (cfg : Config.t) =
             Dut_core.Evaluate.critical_q ~adaptive:cfg.adaptive
               ~trials:cfg.trials ~level:cfg.level ~rng:(Dut_prng.Rng.split rng)
               ~ell ~eps ~hi ?guess:guess_maj (fun q ->
-                Dut_core.Threshold_tester.tester_majority ~n ~eps ~k ~q
+                Cg.tester_majority ~n ~eps ~k ~q
                   ~calibration_trials:cfg.calibration_trials
-                  ~rng:(Dut_prng.Rng.split rng))
+                  ~rng:(Dut_prng.Rng.split rng) Cg.Clique)
           in
           let q_and =
             Dut_core.Evaluate.critical_q ~adaptive:cfg.adaptive
               ~trials:cfg.trials ~level:cfg.level ~rng:(Dut_prng.Rng.split rng)
               ~ell ~eps ~hi ?guess:guess_and (fun q ->
-                Dut_core.And_tester.tester ~n ~eps ~k ~q)
+                Cg.tester_fixed ~n ~eps ~k ~q ~t:1 Cg.Clique)
           in
           let prev =
             match (q_maj, q_and) with

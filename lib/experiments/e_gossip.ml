@@ -1,3 +1,5 @@
+module Cg = Dut_core.Comparison_graph
+
 let run (cfg : Config.t) =
   let rng = Config.rng cfg in
   let ell, eps, side =
@@ -29,13 +31,9 @@ let run (cfg : Config.t) =
   in
   let testers =
     [
-      ("AND alarm wire", Dut_core.And_tester.tester ~n ~eps ~k ~q, 1, k);
+      ("AND alarm wire", Cg.tester_fixed ~n ~eps ~k ~q ~t:1 Cg.Clique, 1, k);
       ( "tree convergecast",
-        {
-          Dut_core.Evaluate.name = "tree";
-          accepts =
-            (fun rng source -> (Dut_netsim.Local_tester.run tree rng source).accept);
-        },
+        (fun rng source -> (Dut_netsim.Local_tester.run tree rng source).accept),
         tree_rounds,
         2 * (k - 1) );
       ( "push-sum gossip",

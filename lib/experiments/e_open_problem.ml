@@ -1,3 +1,5 @@
+module Cg = Dut_core.Comparison_graph
+
 let run (cfg : Config.t) =
   let rng = Config.rng cfg in
   let ell, epss, ks =
@@ -21,7 +23,7 @@ let run (cfg : Config.t) =
                 Dut_core.Evaluate.critical_q ~adaptive:cfg.adaptive
                   ~trials:cfg.trials ~level:cfg.level
                   ~rng:(Dut_prng.Rng.split rng) ~ell ~eps ~hi ?guess (fun q ->
-                    Dut_core.And_tester.tester ~n ~eps ~k ~q)
+                    Cg.tester_fixed ~n ~eps ~k ~q ~t:1 Cg.Clique)
               in
               (match qstar with Some q -> prev := Some q | None -> ());
               Option.map (fun q -> (float_of_int k, float_of_int q)) qstar)

@@ -1,3 +1,5 @@
+module Cg = Dut_core.Comparison_graph
+
 (* Exactly-eps-far families over [n], each with a different l2 profile. *)
 let far_families ~n ~eps rng =
   let uniform = Dut_dist.Pmf.uniform n in
@@ -47,20 +49,20 @@ let run (cfg : Config.t) =
   let n = 1 lsl (ell + 1) in
   let q = 5 * int_of_float (Dut_core.Bounds.fmo_threshold_upper ~n ~k ~eps) in
   let tester =
-    Dut_core.Threshold_tester.tester_majority ~n ~eps ~k ~q
-      ~calibration_trials:cfg.calibration_trials ~rng:(Dut_prng.Rng.split rng)
+    Cg.tester_majority ~n ~eps ~k ~q
+      ~calibration_trials:cfg.calibration_trials ~rng:(Dut_prng.Rng.split rng) Cg.Clique
   in
   let reject_prob pmf =
     let sampler = Dut_dist.Sampler.of_pmf pmf in
     (Dut_stats.Montecarlo.estimate_prob ~trials:cfg.trials
        (Dut_prng.Rng.split rng) (fun r ->
-         not (tester.accepts r (Dut_protocol.Network.of_sampler sampler))))
+         not (tester r (Dut_protocol.Network.of_sampler sampler))))
       .estimate
   in
   let uniform_accept =
     (Dut_stats.Montecarlo.estimate_prob ~trials:cfg.trials
        (Dut_prng.Rng.split rng) (fun r ->
-         tester.accepts r (Dut_protocol.Network.uniform_source ~n)))
+         tester r (Dut_protocol.Network.uniform_source ~n)))
       .estimate
   in
   let families = far_families ~n ~eps (Dut_prng.Rng.split rng) in

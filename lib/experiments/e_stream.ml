@@ -40,16 +40,9 @@ let sketch_stream ?jobs ~rng ~chunk ~q ~cfg_sk source =
       Sketch.merge_into ~into:acc sk;
       acc)
 
-let stream_tester ~cfg_sk ~chunk ~eps ~q =
-  {
-    Dut_core.Evaluate.name =
-      Printf.sprintf "stream-%s(b=%d,q=%d)"
-        (Sketch.kind_to_string (Sketch.kind_of cfg_sk))
-        (Sketch.buckets cfg_sk) q;
-    accepts =
-      (fun rng source ->
-        Sketch.accepts (sketch_stream ~rng ~chunk ~q ~cfg_sk source) ~eps);
-  }
+let stream_tester ~cfg_sk ~chunk ~eps ~q : Dut_core.Evaluate.tester =
+ fun rng source ->
+  Sketch.accepts (sketch_stream ~rng ~chunk ~q ~cfg_sk source) ~eps
 
 type trial = {
   final_accept : bool;

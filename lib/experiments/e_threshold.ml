@@ -1,3 +1,5 @@
+module Cg = Dut_core.Comparison_graph
+
 let run (cfg : Config.t) =
   let rng = Config.rng cfg in
   let ell, eps, k, ts =
@@ -22,7 +24,7 @@ let run (cfg : Config.t) =
             Dut_core.Evaluate.critical_q ~adaptive:cfg.adaptive
               ~trials:cfg.trials ~level:cfg.level ~rng:(Dut_prng.Rng.split rng)
               ~ell ~eps ~hi ?guess (fun q ->
-                Dut_core.Threshold_tester.tester_fixed ~n ~eps ~k ~q ~t)
+                Cg.tester_fixed ~n ~eps ~k ~q ~t Cg.Clique)
           in
           let prev = match qstar with Some q -> Some (t, q) | None -> prev in
           (prev, (t, qstar) :: acc))

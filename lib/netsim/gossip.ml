@@ -65,24 +65,25 @@ let decentralized_tester ~graph ~n ~eps ~q ~gossip_rounds ~calibration_trials ~r
   let cutoff_fraction =
     (float_of_int cutoff_count -. 0.5) /. float_of_int k
   in
-  {
-    Dut_core.Evaluate.name =
-      Printf.sprintf "gossip(k=%d,q=%d,r=%d)" k q gossip_rounds;
-    accepts =
-      (fun rng source ->
-        Dut_protocol.Network.round_messages ~rng ~source ~k ~q
-          ~messenger:(fun ~index:_ _coins samples ->
-            if Dut_core.Local_stat.vote_midpoint ~n ~q ~eps samples then 0.
-            else 1.)
-          ~referee:(fun votes ->
-            let estimates =
-              push_sum ~graph ~rng:(Dut_prng.Rng.split rng) ~values:votes
-                ~rounds:gossip_rounds
-            in
-            let accepts =
-              Array.fold_left
-                (fun acc e -> if e < cutoff_fraction then acc + 1 else acc)
-                0 estimates
-            in
-            2 * accepts > k));
-  }
+  fun rng source ->
+    let votes = Array.make k 0. in
+    let (_ : int) =
+      Dut_protocol.Network.round_fold ~rng ~source ~k ~q
+        ~messenger:(fun ~index:_ _coins samples ->
+          if Dut_core.Local_stat.vote_midpoint ~n ~q ~eps samples then 0.
+          else 1.)
+        ~init:0
+        ~f:(fun i vote ->
+          votes.(i) <- vote;
+          i + 1)
+    in
+    let estimates =
+      push_sum ~graph ~rng:(Dut_prng.Rng.split rng) ~values:votes
+        ~rounds:gossip_rounds
+    in
+    let accepts =
+      Array.fold_left
+        (fun acc e -> if e < cutoff_fraction then acc + 1 else acc)
+        0 estimates
+    in
+    2 * accepts > k

@@ -65,12 +65,7 @@ val bfs : t -> root:int -> int array * int array
 
 val is_connected : t -> bool
 
-val eccentricity : t -> int -> int
-(** Largest finite BFS distance from a node.
-
-    @raise Invalid_argument on a disconnected graph. *)
-
 val diameter : t -> int
-(** Max eccentricity (exact, O(n·(n+m))).
+(** The largest BFS distance between two nodes (exact, O(n·(n+m))).
 
     @raise Invalid_argument on a disconnected graph. *)

@@ -139,8 +139,4 @@ let run t rng source =
 
 let tester ~graph ~n ~eps ~q ~calibration_trials ~rng =
   let t = make ~graph ~n ~eps ~q ~calibration_trials ~rng in
-  {
-    Dut_core.Evaluate.name =
-      Printf.sprintf "local(k=%d,h=%d,q=%d)" (Graph.n graph) (height t) q;
-    accepts = (fun rng source -> (run t rng source).accept);
-  }
+  fun rng source -> (run t rng source).accept

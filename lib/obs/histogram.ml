@@ -150,13 +150,6 @@ let max_value t =
   let rec go b = if b < 0 then None else if t.counts.(b) > 0 then Some (bucket_hi b) else go (b - 1) in
   go (Array.length t.counts - 1)
 
-let sum_estimate t =
-  let acc = ref 0 in
-  for b = 0 to Array.length t.counts - 1 do
-    if t.counts.(b) > 0 then acc := !acc + (t.counts.(b) * ((bucket_lo b + bucket_hi b) / 2))
-  done;
-  !acc
-
 let q_or_zero t q = match quantile t q with Some v -> v | None -> 0
 
 (* Sparse [[bucket, count], ...] pairs: the exact bucket contents, so a

@@ -71,10 +71,6 @@ val max_value : t -> int option
 (** Upper bound of the highest non-empty bucket — never under-reports
     the true maximum. *)
 
-val sum_estimate : t -> int
-(** Sum of bucket-midpoint times count: an estimate of the total of all
-    recorded values, within one sub-bucket's relative error. *)
-
 val summary_json : t -> Json.t
 (** [{"count":n,"p50":..,"p90":..,"p95":..,"p99":..,"max":..}], or just
     [{"count":0}] when empty. *)

@@ -9,8 +9,7 @@
     harness uses it — the engine's pool join is the aggregation point
     (every task has finished, every write is published by the join).
 
-    {b Gauges} are last-value-wins measurements ([monitor.fraction_cutoff],
-    [monitor.detection_latency_epochs]) stored process-wide.
+    {b Gauges} are last-value-wins measurements stored process-wide.
 
     Names are registered once, on first use, and live for the process:
     handles are cheap to keep in module-level [let]s. Registration takes

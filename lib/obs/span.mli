@@ -1,7 +1,7 @@
 (** Structured span tracing to a JSON Lines sink.
 
-    A span is one timed region — an experiment, a table, a monitor
-    epoch. [with_ ~name ~attrs f] runs [f] and, if a sink is open,
+    A span is one timed region — an experiment, a table, a service
+    request. [with_ ~name ~attrs f] runs [f] and, if a sink is open,
     appends one JSON object on its own line when the region ends:
 
     {v

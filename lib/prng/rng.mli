@@ -13,9 +13,6 @@ val create : int -> t
 (** [create seed] builds a source from an integer seed. Equal seeds give
     identical streams. *)
 
-val of_int64 : int64 -> t
-(** Like {!create} with the full 64-bit seed space. *)
-
 val split : t -> t
 (** [split t] derives a child source. The child's stream is independent of
     the parent's subsequent draws: used to give each player in a protocol a
@@ -44,11 +41,6 @@ val release_child : t -> unit
 
 val bits64 : t -> int64
 (** 64 uniformly random bits. *)
-
-val bits63 : t -> int
-(** The low 63 bits of a 64-bit draw, as a non-negative native int:
-    the integer lattice behind {!int}. One call consumes exactly one
-    64-bit draw. *)
 
 val bits53 : t -> int
 (** The top 53 bits of a 64-bit draw: the integer lattice behind

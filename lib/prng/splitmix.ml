@@ -25,8 +25,7 @@ type t = {
 
 let m32 = 0xFFFFFFFF
 
-let golden_gamma = 0x9E3779B97F4A7C15L
-
+(* The golden-gamma increment 0x9E3779B97F4A7C15, as 32-bit halves. *)
 let gg_hi = 0x9E3779B9
 
 let gg_lo = 0x7F4A7C15
@@ -50,12 +49,10 @@ let out_hi t = t.out_hi
 
 let out_lo t = t.out_lo
 
-(* Pure 64-bit reference transition and output function: kept verbatim
-   from the original implementation. These are the specification the
-   pair kernel below is tested against, and remain the right tool for
-   cold paths (seeding, splitting, hashing). *)
-
-let next_state s = Int64.add s golden_gamma
+(* Pure 64-bit reference output function: kept verbatim from the
+   original implementation. It is the specification the pair kernel
+   below is tested against, and remains the right tool for cold paths
+   (seeding, splitting, hashing). *)
 
 (* Stafford's "mix13" finalizer, the output function of SplitMix64. *)
 let mix s =
@@ -119,7 +116,7 @@ let mix_gamma s =
 
 let split t =
   let seed = next_int64 t in
-  (* t.state <- next_state t.state, in the pair domain. *)
+  (* t.state <- t.state + golden_gamma, in the pair domain. *)
   let l = t.lo + gg_lo in
   t.hi <- (t.hi + gg_hi + (l lsr 32)) land m32;
   t.lo <- l land m32;

@@ -21,10 +21,6 @@ val next_int64 : t -> int64
 (** [next_int64 t] advances the state and returns 64 uniformly random
     bits. *)
 
-val next_state : int64 -> int64
-(** [next_state s] is the raw state transition (adds the golden-gamma
-    constant). Exposed for testing and for stateless derivations. *)
-
 val mix : int64 -> int64
 (** [mix s] is the SplitMix64 output function (variant "mix13" of
     Stafford). A high-quality 64-bit finalizer; also useful as a hash. *)
@@ -40,8 +36,8 @@ val split : t -> t
     values: a step writes its mixed output into the generator record,
     and the caller reads it back through {!out_hi}/{!out_lo}. The
     streams are bit-identical to {!next_int64} (which is implemented on
-    this kernel); the pure {!next_state}/{!mix} functions above remain
-    the executable specification the kernel is tested against. *)
+    this kernel); the pure {!mix} function above remains the executable
+    specification the kernel is tested against. *)
 
 val next_pair : t -> unit
 (** [next_pair t] advances the state and mixes the output into the

@@ -4,7 +4,6 @@ type t =
   | Reject_threshold of int
   | Accept_at_least of int
   | Majority
-  | Custom of string * (bool array -> bool)
 
 let count_ones bits =
   Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 bits
@@ -22,9 +21,6 @@ let apply rule bits =
       if c <= 0 then invalid_arg "Rule.apply: count must be positive";
       count_ones bits >= c
   | Majority -> 2 * count_ones bits > k
-  | Custom (_, f) -> f bits
-
-let count_decidable = function Custom _ -> false | _ -> true
 
 let accept_min rule ~k =
   if k <= 0 then invalid_arg "Rule.accept_min: no players";
@@ -38,7 +34,6 @@ let accept_min rule ~k =
       if c <= 0 then invalid_arg "Rule.accept_min: count must be positive";
       c
   | Majority -> (k / 2) + 1
-  | Custom _ -> invalid_arg "Rule.accept_min: custom rule has no count cutoff"
 
 let name = function
   | And -> "AND"
@@ -46,8 +41,7 @@ let name = function
   | Reject_threshold t -> Printf.sprintf "reject>=%d" t
   | Accept_at_least c -> Printf.sprintf "accept>=%d" c
   | Majority -> "majority"
-  | Custom (n, _) -> n
 
 let is_local = function
   | And | Reject_threshold 1 -> true
-  | Or | Reject_threshold _ | Accept_at_least _ | Majority | Custom _ -> false
+  | Or | Reject_threshold _ | Accept_at_least _ | Majority -> false

@@ -10,8 +10,10 @@
       f(x) = 1 exactly when Σ x_i ≥ k − T + 1 (Theorem 1.3; the paper
       writes the acceptance condition as Σ x_i ≥ k − t);
     - {!Majority} — a calibrated count cutoff, the shape of the optimal
-      tester (Theorem 1.1);
-    - {!Custom} — an arbitrary f, the fully general referee. *)
+      tester (Theorem 1.1).
+
+    Every rule depends on the votes only through the number of ones, so
+    each reduces to one precomputed cutoff ({!accept_min}). *)
 
 type t =
   | And  (** accept iff every bit is 1 *)
@@ -23,8 +25,6 @@ type t =
   | Accept_at_least of int
       (** accept iff at least that many ones (a count cutoff). *)
   | Majority  (** accept iff ones > k/2 *)
-  | Custom of string * (bool array -> bool)
-      (** arbitrary decision function, with a display name *)
 
 val apply : t -> bool array -> bool
 (** [apply rule bits] — the referee's output; [true] = accept. [bits.(i)]
@@ -33,19 +33,13 @@ val apply : t -> bool array -> bool
     @raise Invalid_argument on an empty vote vector, or a non-positive
     threshold. *)
 
-val count_decidable : t -> bool
-(** [true] when the referee's verdict depends on the votes only through
-    the number of ones — every rule except {!Custom}. Such rules reduce
-    to a single precomputed cutoff (see {!accept_min}), so a round can
-    fold votes into one counter instead of materialising the vector. *)
-
 val accept_min : t -> k:int -> int
 (** [accept_min rule ~k] is the cutoff c such that, for [k] players,
     [apply rule bits = (count of ones >= c)]. The branchless-referee
     form: precompute once per round, then one integer compare. For
     {!Reject_threshold} the cutoff may be ≤ 0 (always accept).
 
-    @raise Invalid_argument on {!Custom}, [k <= 0], or a non-positive
+    @raise Invalid_argument on [k <= 0], or a non-positive
     threshold/count (mirroring {!apply}). *)
 
 val name : t -> string

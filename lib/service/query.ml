@@ -69,8 +69,6 @@ let bounds_table :
     ("thm64_rbit_lower", fun p -> thm64_rbit_lower ~n:(need_int p "n") ~k:(need_int p "k") ~eps:(need p "eps") ~r:(need_int p "r"));
   ]
 
-let bound_names = List.map fst bounds_table
-
 (* -- Canonical JSON ----------------------------------------------------- *)
 
 let family_fields = function
@@ -262,13 +260,16 @@ let core_family = function
   | Bipartite -> Dut_core.Comparison_graph.Bipartite
   | Regular degree -> Dut_core.Comparison_graph.Random_regular { degree; seed = 1 }
 
+(* [and] is the clique at reject threshold 1, [threshold] the clique at
+   [t]. *)
 let make_tester tester ~n ~eps ~k q =
-  match tester with
-  | And -> Dut_core.And_tester.tester ~n ~eps ~k ~q
-  | Threshold t -> Dut_core.Threshold_tester.tester_fixed ~n ~eps ~k ~q ~t
-  | Graph { family; t } ->
-      Dut_core.Comparison_graph.tester_fixed ~n ~eps ~k ~q ~t
-        (core_family family)
+  let family, t =
+    match tester with
+    | And -> (Dut_core.Comparison_graph.Clique, 1)
+    | Threshold t -> (Dut_core.Comparison_graph.Clique, t)
+    | Graph { family; t } -> (core_family family, t)
+  in
+  Dut_core.Comparison_graph.tester_fixed ~n ~eps ~k ~q ~t family
 
 (* A Regular-family critical search must not probe q <= degree, where
    the graph does not exist; even degrees put no parity constraint on

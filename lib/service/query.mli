@@ -73,9 +73,6 @@ type t =
       guess : int option;  (** warm start for {!Dut_stats.Critical.search_seeded} *)
     }
 
-val bound_names : string list
-(** Every name {!eval} accepts for a [Bound] query, sorted. *)
-
 val to_json : t -> Dut_obs.Json.t
 (** Canonical rendering: fixed field order, defaults spelled out,
     [params] sorted — two equal queries always serialise to the same

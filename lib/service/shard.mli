@@ -37,15 +37,9 @@
     the latency histograms merged exactly from their
     [latency_buckets]). *)
 
-val fleet_schema : string
-(** ["dut-service-fleet/2"]. *)
-
 val shard_of_key : shards:int -> string -> int
 (** Ring lookup for a canonical key: which of [shards] workers owns it.
     Deterministic across processes and runs. *)
-
-val shard_socket : string -> int -> string
-(** [shard_socket base i] is worker [i]'s socket path, [base ^ ".shardI"]. *)
 
 val shard_summary : string -> int -> string
 (** Worker [i]'s summary path. *)

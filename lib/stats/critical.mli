@@ -22,9 +22,6 @@ val search : ?lo:int -> ?hi:int -> (int -> bool) -> int option
 
     @raise Invalid_argument if [lo < 0] or [hi < lo]. *)
 
-val bracket_then_bisect : lo:int -> hi:int -> (int -> bool) -> int option
-(** Same as {!search} with explicit bounds; exposed for testing. *)
-
 val search_seeded :
   ?lo:int -> ?hi:int -> guess:int -> (int -> bool) -> int option
 (** [search_seeded ~guess ok] is {!search} warm-started at [guess]

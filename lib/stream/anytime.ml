@@ -113,7 +113,6 @@ let observe t chunk =
 
 let rejected t = t.first_reject
 
-let chunks_seen t = t.nchunks
 
 let samples_seen t = Sketch.count t.cum
 

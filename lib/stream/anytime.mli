@@ -77,8 +77,6 @@ val rejected : t -> verdict option
 (** The first rejecting checkpoint verdict, if any — the anytime-valid
     stopping decision. *)
 
-val chunks_seen : t -> int
-
 val samples_seen : t -> int
 
 val cumulative : t -> Sketch.t

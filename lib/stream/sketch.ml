@@ -156,8 +156,6 @@ let buckets cfg = cfg.nbuckets
 
 let is_exact cfg = cfg.exact
 
-let null_rate cfg = cfg.c_null_rate
-
 type t = {
   cfg : config;
   counts : int array;
@@ -260,8 +258,6 @@ let add_range t xs ~lo ~hi =
     add_unchecked t xs.(i)
   done;
   Dut_obs.Metrics.add m_samples (hi - lo)
-
-let add_array t xs = add_range t xs ~lo:0 ~hi:(Array.length xs)
 
 let count t = t.total
 

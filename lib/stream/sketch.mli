@@ -82,14 +82,6 @@ val is_exact : config -> bool
 (** Whether a [Hist] config covers the domain exactly. [false] for
     [Ams]. *)
 
-val null_rate : config -> float
-(** Exact per-pair rate of {!collision_stat} under the uniform null,
-    {e for the frozen hash}: Σ_b (L_b/n)² over bucket loads L_b for
-    [Hist] (= 1/n when exact), and the mean over counters of (S_k/n)²
-    for [Ams], where S_k is the k-th sign hash summed over the domain —
-    the per-salt drift the raw AMS estimate is biased by. Computed once
-    at {!config} time, never estimated. *)
-
 type t
 (** One mutable sketch instance. *)
 
@@ -110,9 +102,6 @@ val add_range : t -> int array -> lo:int -> hi:int -> unit
 
     @raise Invalid_argument if the range is not within [xs] or a sample
     is outside [0 .. n-1] (then nothing is added). *)
-
-val add_array : t -> int array -> unit
-(** [add_range] over the whole array. *)
 
 val count : t -> int
 (** Samples ingested so far. *)
@@ -180,12 +169,18 @@ val collision_stat : t -> float
     when {!is_exact}), and the mean per-counter estimate
     ((z_k² - count)/2) for [Ams]. Its null expectation is
     {!null_mean}; for a single frozen salt the raw [Ams] value is
-    biased by the sign drift folded into {!null_rate} — decisions
-    therefore run on {!excess}/{!decision_stat}, not on this. *)
+    biased by the sign drift folded into the null rate of
+    {!null_mean} — decisions therefore run on {!excess}/{!decision_stat},
+    not on this. *)
 
 val null_mean : t -> float
 (** E\[{!collision_stat}\] when the stream is uniform, exact for the
-    frozen hash: C(count, 2) · {!null_rate}. *)
+    frozen hash: C(count, 2) · p, where p, the per-pair null rate, is
+    Σ_b (L_b/n)² over bucket loads L_b for [Hist] (= 1/n when exact),
+    and the mean over counters of (S_k/n)² for [Ams], S_k being the
+    k-th sign hash summed over the domain — the per-salt drift the raw
+    AMS estimate is biased by. p is computed once at {!config} time,
+    never estimated. *)
 
 val excess : t -> float
 (** The centered decision statistic: the deviation of the sketch from
@@ -201,7 +196,7 @@ val excess : t -> float
 
 val null_sd : t -> float
 (** Standard deviation of {!excess} under the uniform null:
-    ≈ sqrt(C(count,2) · p(1-p)) with [p = null_rate] (the
+    ≈ sqrt(C(count,2) · p(1-p)) with p the null rate of {!null_mean} (the
     identity-testing chi-square rate), plus the sketch's own estimator
     variance ≈ count²/2K for [Ams]. Feeds the eps-spending thresholds
     of {!Anytime}. *)

@@ -172,17 +172,12 @@ let test_votes () =
 
 (* -- Evaluate --------------------------------------------------------- *)
 
-let perfect_tester =
+let perfect_tester rng source =
   (* Accepts iff the source is statistically uniform; we fake it with an
      oracle that inspects a large sample's collision count. *)
-  {
-    Dut_core.Evaluate.name = "oracle";
-    accepts =
-      (fun rng source ->
-        let n = 64 in
-        let samples = Array.init 2000 (fun _ -> source rng) in
-        Dut_testers.Collision.test ~n ~eps:0.3 samples);
-  }
+  let n = 64 in
+  let samples = Array.init 2000 (fun _ -> source rng) in
+  Dut_testers.Collision.test ~n ~eps:0.3 samples
 
 let test_measure_oracle () =
   let rng = Dut_prng.Rng.create 120 in
@@ -208,18 +203,13 @@ let test_succeeds_levels () =
 let test_critical_q_synthetic () =
   (* A synthetic tester that succeeds exactly when q >= 37. *)
   let rng = Dut_prng.Rng.create 123 in
-  let make q =
-    {
-      Dut_core.Evaluate.name = "synthetic";
-      accepts =
-        (fun rng source ->
-          if q >= 37 then begin
-            (* behave like the oracle *)
-            let samples = Array.init 2000 (fun _ -> source rng) in
-            Dut_testers.Collision.test ~n:64 ~eps:0.3 samples
-          end
-          else Dut_prng.Rng.bool rng);
-    }
+  let make q rng source =
+    if q >= 37 then begin
+      (* behave like the oracle *)
+      let samples = Array.init 2000 (fun _ -> source rng) in
+      Dut_testers.Collision.test ~n:64 ~eps:0.3 samples
+    end
+    else Dut_prng.Rng.bool rng
   in
   match
     Dut_core.Evaluate.critical_q ~trials:50 ~level:0.75 ~rng ~ell:5 ~eps:0.3
@@ -228,17 +218,28 @@ let test_critical_q_synthetic () =
   | Some q -> Alcotest.(check int) "finds 37" 37 q
   | None -> Alcotest.fail "critical q not found"
 
-(* -- And_tester ------------------------------------------------------- *)
+(* -- The AND tester: the clique at reject threshold 1 ----------------- *)
+
+module Cg = Dut_core.Comparison_graph
+
+let and_tester ~n ~eps ~k ~q = Cg.tester_fixed ~n ~eps ~k ~q ~t:1 Cg.Clique
+
+(* Constructing a tester validates its parameters. *)
+let build (_ : Dut_core.Evaluate.tester) = ()
 
 let test_and_tester_errors () =
-  Alcotest.check_raises "bad eps" (Invalid_argument "And_tester.make: eps out of (0,1)")
-    (fun () -> ignore (Dut_core.And_tester.make ~n:64 ~eps:1.5 ~k:4 ~q:10));
-  Alcotest.check_raises "bad sizes" (Invalid_argument "And_tester.make: bad sizes")
-    (fun () -> ignore (Dut_core.And_tester.make ~n:64 ~eps:0.3 ~k:0 ~q:10))
+  Alcotest.check_raises "bad eps" (Invalid_argument "Comparison_graph: eps out of (0,1)")
+    (fun () -> build (and_tester ~n:64 ~eps:1.5 ~k:4 ~q:10));
+  Alcotest.check_raises "bad sizes" (Invalid_argument "Comparison_graph: bad sizes")
+    (fun () -> build (and_tester ~n:64 ~eps:0.3 ~k:0 ~q:10))
 
 let test_and_tester_cutoff_grows_with_k () =
-  (* More players -> rarer per-player alarms -> higher cutoffs. *)
-  let cutoff k = Dut_core.And_tester.local_cutoff (Dut_core.And_tester.make ~n:1024 ~eps:0.3 ~k ~q:300) in
+  (* More players -> rarer per-player alarms -> higher cutoffs: the
+     AND tester's alarm cutoff at its false-alarm level. *)
+  let cutoff k =
+    Cg.alarm_cutoff ~n:1024 (Cg.build ~q:300 Cg.Clique)
+      ~false_alarm:(Dut_stats.Tail.binomial_max_p ~k ~t:1 ~level:0.18)
+  in
   Alcotest.(check bool) "monotone" true (cutoff 4 <= cutoff 64 && cutoff 64 <= cutoff 1024)
 
 let test_and_tester_power () =
@@ -249,21 +250,37 @@ let test_and_tester_power () =
   let rng = Dut_prng.Rng.create 124 in
   let p =
     Dut_core.Evaluate.measure ~trials:80 ~rng ~ell ~eps
-      (Dut_core.And_tester.tester ~n ~eps ~k:8 ~q)
+      (and_tester ~n ~eps ~k:8 ~q)
   in
   Alcotest.(check bool) "uniform accepted" true (p.uniform_accept.estimate >= 0.7);
   Alcotest.(check bool) "far rejected" true (p.far_reject.estimate >= 0.7)
 
-(* -- Threshold_tester -------------------------------------------------- *)
+(* -- Threshold testers: the clique under a reject-count referee ------- *)
 
 let test_threshold_fixed_errors () =
   Alcotest.check_raises "t out of range"
-    (Invalid_argument "Threshold_tester.make_fixed: t outside [1,k]") (fun () ->
-      ignore (Dut_core.Threshold_tester.make_fixed ~n:64 ~eps:0.3 ~k:4 ~q:10 ~t:5))
+    (Invalid_argument "Comparison_graph.tester_fixed: t outside [1,k]") (fun () ->
+      build (Cg.tester_fixed ~n:64 ~eps:0.3 ~k:4 ~q:10 ~t:5 Cg.Clique))
 
 let test_threshold_fixed_referee_cutoff () =
-  let t = Dut_core.Threshold_tester.make_fixed ~n:64 ~eps:0.3 ~k:8 ~q:10 ~t:3 in
-  Alcotest.(check int) "fixed cutoff" 3 (Dut_core.Threshold_tester.referee_cutoff t)
+  (* A source that hands the first [alarms] players q equal samples (a
+     certain alarm) and every later player q distinct ones (a certain
+     accept): players draw their tuples in index order. At t = 3 the
+     referee rejects exactly when three or more players alarm. *)
+  let q = 10 and k = 8 in
+  let tester = Cg.tester_fixed ~n:64 ~eps:0.3 ~k ~q ~t:3 Cg.Clique in
+  let accepts alarms =
+    let draws = ref 0 in
+    let source _coins =
+      let i = !draws in
+      incr draws;
+      if i / q < alarms then 0 else i mod q
+    in
+    tester (Dut_prng.Rng.create 3) source
+  in
+  Alcotest.(check (list bool))
+    "rejects from 3 alarms on" [ true; true; true; false; false ]
+    (List.map accepts [ 0; 1; 2; 3; 8 ])
 
 let test_threshold_majority_power () =
   let ell = 5 in
@@ -273,8 +290,8 @@ let test_threshold_majority_power () =
   let q = 3 * int_of_float (Dut_core.Bounds.fmo_threshold_upper ~n ~k ~eps) in
   let rng = Dut_prng.Rng.create 125 in
   let tester =
-    Dut_core.Threshold_tester.tester_majority ~n ~eps ~k ~q ~calibration_trials:200
-      ~rng:(Dut_prng.Rng.split rng)
+    Cg.tester_majority ~n ~eps ~k ~q ~calibration_trials:200
+      ~rng:(Dut_prng.Rng.split rng) Cg.Clique
   in
   let p = Dut_core.Evaluate.measure ~trials:80 ~rng ~ell ~eps tester in
   Alcotest.(check bool) "uniform accepted" true (p.uniform_accept.estimate >= 0.7);
@@ -291,10 +308,10 @@ let test_threshold_uses_fewer_samples_than_and () =
   let q = 6 * int_of_float (Dut_core.Bounds.fmo_threshold_upper ~n ~k ~eps) in
   let rng = Dut_prng.Rng.create 126 in
   let majority =
-    Dut_core.Threshold_tester.tester_majority ~n ~eps ~k ~q ~calibration_trials:200
-      ~rng:(Dut_prng.Rng.split rng)
+    Cg.tester_majority ~n ~eps ~k ~q ~calibration_trials:200
+      ~rng:(Dut_prng.Rng.split rng) Cg.Clique
   in
-  let and_t = Dut_core.And_tester.tester ~n ~eps ~k ~q in
+  let and_t = and_tester ~n ~eps ~k ~q in
   let pm = Dut_core.Evaluate.measure ~trials:60 ~rng ~ell ~eps majority in
   let pa = Dut_core.Evaluate.measure ~trials:60 ~rng ~ell ~eps and_t in
   Alcotest.(check bool) "majority works here" true

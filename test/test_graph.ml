@@ -1,8 +1,7 @@
 (* Comparison-graph tests: construction, the edge statistic, the shared
    cutoff layer (including the Poisson / Cornish–Fisher handoff and the
-   tie convention), bit-identity of the clique instances against the
-   hand-written testers, the collisions_bounded path split, the
-   rule-search envelope, and the service codec's graph queries. *)
+   tie convention), the collisions_bounded path split, the rule-search
+   envelope, and the service codec's graph queries. *)
 
 module Cg = Dut_core.Comparison_graph
 
@@ -250,62 +249,6 @@ let test_cf_single_rounding () =
     end
   done
 
-(* -- Clique bit-identity with the hand-written testers ------------------ *)
-
-let far_source ~ell ~eps =
-  (* A fixed hard instance: alternating perturbation signs. *)
-  let z = Array.init (1 lsl ell) (fun i -> if i land 1 = 0 then 1 else -1) in
-  Dut_protocol.Network.of_paninski (Dut_dist.Paninski.create ~ell ~eps ~z)
-
-let check_verdicts_identical name tester_a tester_b =
-  let ell = 4 in
-  let n = 1 lsl (ell + 1) in
-  let eps = 0.3 in
-  for seed = 0 to 99 do
-    let sources =
-      [ Dut_protocol.Network.uniform_source ~n; far_source ~ell ~eps ]
-    in
-    List.iteri
-      (fun i source ->
-        let a =
-          tester_a.Dut_core.Evaluate.accepts (Dut_prng.Rng.create seed) source
-        in
-        let b =
-          tester_b.Dut_core.Evaluate.accepts (Dut_prng.Rng.create seed) source
-        in
-        if a <> b then
-          Alcotest.failf "%s: verdicts differ (seed=%d source=%d)" name seed i)
-      sources
-  done
-
-let test_clique_and_bit_identity () =
-  let ell = 4 in
-  let n = 1 lsl (ell + 1) in
-  let eps = 0.3 and k = 6 and q = 24 in
-  check_verdicts_identical "and"
-    (Dut_core.And_tester.tester ~n ~eps ~k ~q)
-    (Cg.tester_and ~n ~eps ~k ~q Cg.Clique)
-
-let test_clique_threshold_bit_identity () =
-  let ell = 4 in
-  let n = 1 lsl (ell + 1) in
-  let eps = 0.3 and k = 6 and q = 24 in
-  check_verdicts_identical "threshold"
-    (Dut_core.Threshold_tester.tester_fixed ~n ~eps ~k ~q ~t:2)
-    (Cg.tester_fixed ~n ~eps ~k ~q ~t:2 Cg.Clique)
-
-let test_clique_majority_bit_identity () =
-  let ell = 4 in
-  let n = 1 lsl (ell + 1) in
-  let eps = 0.3 and k = 6 and q = 24 in
-  (* Both calibrate from identically-seeded RNGs: the calibration draws,
-     the referee cutoff, and every verdict must coincide. *)
-  check_verdicts_identical "majority"
-    (Dut_core.Threshold_tester.tester_majority ~n ~eps ~k ~q
-       ~calibration_trials:100 ~rng:(Dut_prng.Rng.create 42))
-    (Cg.tester_majority ~n ~eps ~k ~q ~calibration_trials:100
-       ~rng:(Dut_prng.Rng.create 42) Cg.Clique)
-
 (* -- collisions_bounded path split -------------------------------------- *)
 
 let prop_collisions_bounded_path_split =
@@ -471,15 +414,6 @@ let () =
             test_poisson_cf_handoff;
           Alcotest.test_case "CF rounds up exactly once" `Quick
             test_cf_single_rounding;
-        ] );
-      ( "bit_identity",
-        [
-          Alcotest.test_case "and = graph clique" `Slow
-            test_clique_and_bit_identity;
-          Alcotest.test_case "threshold = graph clique" `Slow
-            test_clique_threshold_bit_identity;
-          Alcotest.test_case "majority = graph clique" `Slow
-            test_clique_majority_bit_identity;
         ] );
       ( "kernels",
         [ qcheck prop_collisions_bounded_path_split ] );

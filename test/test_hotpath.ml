@@ -142,13 +142,19 @@ let test_round_equals_legacy_allocating_round () =
           ~source:(Dut_protocol.Network.uniform_source ~n)
           ~k:16 ~q:40 ~player ~rule
       in
-      let t =
-        Dut_protocol.Network.round ~rng:(rng seed)
+      let votes =
+        Dut_protocol.Network.round_fold ~rng:(rng seed)
+          ~source:(Dut_protocol.Network.uniform_source ~n)
+          ~k:16 ~q:40 ~messenger:player ~init:[] ~f:(fun acc v -> v :: acc)
+      in
+      let accept =
+        Dut_protocol.Network.round_accept ~rng:(rng seed)
           ~source:(Dut_protocol.Network.uniform_source ~n)
           ~k:16 ~q:40 ~player ~rule
       in
-      Alcotest.(check (array bool)) "votes" expected_votes t.votes;
-      Alcotest.(check bool) "accept" expected_accept t.accept)
+      Alcotest.(check (list bool)) "votes"
+        (List.rev (Array.to_list expected_votes)) votes;
+      Alcotest.(check bool) "accept" expected_accept accept)
     [
       (0, Dut_protocol.Rule.And);
       (1, Dut_protocol.Rule.Majority);
@@ -223,15 +229,6 @@ let test_legacy_kernels_equal_scratch_kernels () =
     (fun (k, q) ->
       for seed = 0 to 9 do
         let label what = Printf.sprintf "%s k=%d q=%d seed=%d" what k q seed in
-        let messages round =
-          let r = rng seed in
-          let got = ref [||] in
-          ignore
-            (round ~rng:r ~source ~k ~q ~messenger ~referee:(fun ms ->
-                 got := Array.copy ms;
-                 true));
-          (!got, Dut_prng.Rng.bits64 r)
-        in
         let folded round =
           let r = rng seed in
           let acc =
@@ -240,10 +237,6 @@ let test_legacy_kernels_equal_scratch_kernels () =
           in
           (acc, Dut_prng.Rng.bits64 r)
         in
-        Alcotest.(check (pair (array int) int64))
-          (label "round_messages")
-          (messages legacy_round_messages)
-          (messages Dut_protocol.Network.round_messages);
         Alcotest.(check (pair (list int) int64))
           (label "round_fold")
           (folded legacy_round_fold)
@@ -307,15 +300,11 @@ let test_round_accept_equals_round () =
   let player ~index _coins samples =
     Dut_core.Local_stat.collisions samples < 3 + (index mod 2)
   in
-  let parity votes =
-    Array.fold_left (fun acc v -> acc + Bool.to_int v) 0 votes mod 2 = 0
-  in
   List.iter
     (fun rule ->
       for seed = 0 to 9 do
-        let t =
-          Dut_protocol.Network.round ~rng:(rng seed) ~source ~k:16 ~q:40
-            ~player ~rule
+        let _, expected =
+          legacy_round ~rng:(rng seed) ~source ~k:16 ~q:40 ~player ~rule
         in
         let accept =
           Dut_protocol.Network.round_accept ~rng:(rng seed) ~source ~k:16 ~q:40
@@ -323,19 +312,17 @@ let test_round_accept_equals_round () =
         in
         Alcotest.(check bool)
           (Printf.sprintf "%s seed %d" (Dut_protocol.Rule.name rule) seed)
-          t.accept accept
+          expected accept
       done)
     [
       Dut_protocol.Rule.And; Dut_protocol.Rule.Or; Dut_protocol.Rule.Majority;
       Dut_protocol.Rule.Reject_threshold 4;
       Dut_protocol.Rule.Accept_at_least 9;
-      (* Not count-decidable: round_accept must fall back to round. *)
-      Dut_protocol.Rule.Custom ("parity", parity);
     ]
 
 let prop_accept_min_matches_apply =
-  (* For every count-decidable rule the referee's verdict must be the
-     single integer compare [ones >= accept_min] on arbitrary votes. *)
+  (* For every rule the referee's verdict must be the single integer
+     compare [ones >= accept_min] on arbitrary votes. *)
   QCheck.Test.make ~name:"accept_min cutoff = Rule.apply" ~count:500
     QCheck.(
       pair (int_range 1 40) (list_of_size Gen.(int_range 1 40) bool))
@@ -345,8 +332,7 @@ let prop_accept_min_matches_apply =
       let ones = Array.fold_left (fun a v -> a + Bool.to_int v) 0 votes in
       List.for_all
         (fun rule ->
-          Dut_protocol.Rule.count_decidable rule
-          && Dut_protocol.Rule.apply rule votes
+          Dut_protocol.Rule.apply rule votes
              = (ones >= Dut_protocol.Rule.accept_min rule ~k))
         [
           Dut_protocol.Rule.And; Dut_protocol.Rule.Or;
@@ -354,19 +340,6 @@ let prop_accept_min_matches_apply =
           Dut_protocol.Rule.Reject_threshold threshold;
           Dut_protocol.Rule.Accept_at_least threshold;
         ])
-
-let test_custom_rule_not_count_decidable () =
-  Alcotest.(check bool)
-    "custom is not count-decidable" false
-    (Dut_protocol.Rule.count_decidable
-       (Dut_protocol.Rule.Custom ("any", fun _ -> true)));
-  Alcotest.check_raises "accept_min on custom"
-    (Invalid_argument "Rule.accept_min: custom rule has no count cutoff")
-    (fun () ->
-      ignore
-        (Dut_protocol.Rule.accept_min
-           (Dut_protocol.Rule.Custom ("any", fun _ -> true))
-           ~k:4))
 
 (* -- Batched draws ------------------------------------------------------- *)
 
@@ -401,7 +374,10 @@ let prop_paninski_draw_block_equals_scalar =
 let test_measure_jobs_invariant () =
   (* The full evaluation path — scratch samples, scratch Paninski,
      histogram collision counts — at several jobs counts. *)
-  let tester = Dut_core.And_tester.tester ~n:256 ~eps:0.3 ~k:8 ~q:64 in
+  let tester =
+    Dut_core.Comparison_graph.tester_fixed ~n:256 ~eps:0.3 ~k:8 ~q:64 ~t:1
+      Dut_core.Comparison_graph.Clique
+  in
   let measure jobs =
     Dut_engine.Parallel.set_default_jobs jobs;
     Fun.protect
@@ -587,8 +563,6 @@ let () =
         [
           Alcotest.test_case "round_accept = round for every rule" `Quick
             test_round_accept_equals_round;
-          Alcotest.test_case "custom rule has no cutoff" `Quick
-            test_custom_rule_not_count_decidable;
         ] );
       ( "search",
         [

@@ -46,19 +46,6 @@ let test_majority () =
   Alcotest.(check bool) "strict majority" true (r [ true; true; false ]);
   Alcotest.(check bool) "tie is reject" false (r [ true; false ])
 
-let test_custom_rule () =
-  let parity =
-    Dut_protocol.Rule.Custom
-      ( "parity",
-        fun votes ->
-          Array.fold_left (fun acc v -> if v then not acc else acc) false votes )
-  in
-  Alcotest.(check bool) "odd ones" true
-    (Dut_protocol.Rule.apply parity (bits [ true; false; false ]));
-  Alcotest.(check bool) "even ones" false
-    (Dut_protocol.Rule.apply parity (bits [ true; true; false ]));
-  Alcotest.(check string) "name" "parity" (Dut_protocol.Rule.name parity)
-
 let test_rule_errors () =
   Alcotest.check_raises "empty" (Invalid_argument "Rule.apply: no players")
     (fun () -> ignore (Dut_protocol.Rule.apply And [||]));
@@ -85,84 +72,86 @@ let test_is_local () =
 
 let const_source value _rng = value
 
+(* A round's messages in player order, through the one round body. *)
+let messages ~rng ~source ~k ~q messenger =
+  Array.of_list
+    (List.rev
+       (Dut_protocol.Network.round_fold ~rng ~source ~k ~q ~messenger ~init:[]
+          ~f:(fun acc m -> m :: acc)))
+
 let test_round_basic () =
-  let rng = Dut_prng.Rng.create 100 in
   (* Players vote accept iff every sample is even. *)
   let player ~index:_ _coins samples = Array.for_all (fun s -> s mod 2 = 0) samples in
-  let t =
-    Dut_protocol.Network.round ~rng ~source:(const_source 2) ~k:5 ~q:3 ~player
-      ~rule:Dut_protocol.Rule.And
+  let votes =
+    messages ~rng:(Dut_prng.Rng.create 100) ~source:(const_source 2) ~k:5 ~q:3
+      player
   in
-  Alcotest.(check int) "vote count" 5 (Array.length t.votes);
-  Alcotest.(check bool) "all accept" true t.accept
+  Alcotest.(check int) "vote count" 5 (Array.length votes);
+  Alcotest.(check bool) "all accept" true
+    (Dut_protocol.Network.round_accept ~rng:(Dut_prng.Rng.create 100)
+       ~source:(const_source 2) ~k:5 ~q:3 ~player ~rule:Dut_protocol.Rule.And)
 
 let test_round_determinism () =
   let run seed =
-    let rng = Dut_prng.Rng.create seed in
     let player ~index:_ coins samples =
       (* Depends on both samples and private coins. *)
       (samples.(0) + Dut_prng.Rng.int coins 10) mod 2 = 0
     in
-    let t =
-      Dut_protocol.Network.round ~rng
-        ~source:(fun r -> Dut_prng.Rng.int r 100)
-        ~k:8 ~q:2 ~player ~rule:Dut_protocol.Rule.Majority
-    in
-    t.votes
+    messages ~rng:(Dut_prng.Rng.create seed)
+      ~source:(fun r -> Dut_prng.Rng.int r 100)
+      ~k:8 ~q:2 player
   in
   Alcotest.(check (array bool)) "same seed same votes" (run 7) (run 7);
   Alcotest.(check bool) "different seeds eventually differ" true
     (List.exists (fun s -> run s <> run 7) [ 8; 9; 10; 11 ])
 
 let test_round_player_index () =
-  let rng = Dut_prng.Rng.create 101 in
   (* Only even-indexed players accept; majority of 5 is 3 -> accept. *)
   let player ~index _coins _samples = index mod 2 = 0 in
-  let t =
-    Dut_protocol.Network.round ~rng ~source:(const_source 0) ~k:5 ~q:1 ~player
-      ~rule:Dut_protocol.Rule.Majority
-  in
-  Alcotest.(check bool) "majority accepts" true t.accept;
+  Alcotest.(check bool) "majority accepts" true
+    (Dut_protocol.Network.round_accept ~rng:(Dut_prng.Rng.create 101)
+       ~source:(const_source 0) ~k:5 ~q:1 ~player
+       ~rule:Dut_protocol.Rule.Majority);
   Alcotest.(check (array bool)) "index-determined votes"
-    [| true; false; true; false; true |] t.votes
+    [| true; false; true; false; true |]
+    (messages ~rng:(Dut_prng.Rng.create 101) ~source:(const_source 0) ~k:5 ~q:1
+       player)
 
 let test_round_rates () =
   let rng = Dut_prng.Rng.create 102 in
-  let seen = Array.make 3 (-1) in
-  let player ~index _coins samples =
-    seen.(index) <- Array.length samples;
-    true
-  in
-  let _ =
+  let messenger ~index _coins samples = (index, Array.length samples) in
+  let seen =
     Dut_protocol.Network.round_rates ~rng ~source:(const_source 0)
-      ~qs:[| 1; 5; 9 |] ~player ~rule:Dut_protocol.Rule.And
+      ~qs:[| 1; 5; 9 |] ~messenger ~init:[] ~f:(fun acc m -> m :: acc)
   in
-  Alcotest.(check (array int)) "per-player sample counts" [| 1; 5; 9 |] seen
+  Alcotest.(check (list (pair int int)))
+    "per-player sample counts, folded in index order"
+    [ (2, 9); (1, 5); (0, 1) ] seen
 
 let test_round_errors () =
   let rng = Dut_prng.Rng.create 103 in
   let player ~index:_ _ _ = true in
-  Alcotest.check_raises "k=0" (Invalid_argument "Network.round: k must be positive")
-    (fun () ->
-      ignore
-        (Dut_protocol.Network.round ~rng ~source:(const_source 0) ~k:0 ~q:1
-           ~player ~rule:Dut_protocol.Rule.And));
+  let accept ~k ~q =
+    ignore
+      (Dut_protocol.Network.round_accept ~rng ~source:(const_source 0) ~k ~q
+         ~player ~rule:Dut_protocol.Rule.And)
+  in
+  Alcotest.check_raises "k=0"
+    (Invalid_argument "Network.round_fold: k must be positive") (fun () ->
+      accept ~k:0 ~q:1);
   Alcotest.check_raises "q<0"
-    (Invalid_argument "Network.round: q must be non-negative") (fun () ->
-      ignore
-        (Dut_protocol.Network.round ~rng ~source:(const_source 0) ~k:1 ~q:(-1)
-           ~player ~rule:Dut_protocol.Rule.And))
+    (Invalid_argument "Network.round_fold: q must be non-negative") (fun () ->
+      accept ~k:1 ~q:(-1));
+  Alcotest.check_raises "rates: no players"
+    (Invalid_argument "Network.round_rates: no players") (fun () ->
+      Dut_protocol.Network.round_rates ~rng ~source:(const_source 0) ~qs:[||]
+        ~messenger:player ~init:() ~f:(fun () _ -> ()))
 
 let test_round_messages () =
-  let rng = Dut_prng.Rng.create 104 in
   let messenger ~index _coins samples = index + Array.length samples in
-  let result =
-    Dut_protocol.Network.round_messages ~rng ~source:(const_source 0) ~k:4 ~q:2
-      ~messenger ~referee:(fun messages ->
-        Alcotest.(check (array int)) "messages" [| 2; 3; 4; 5 |] messages;
-        true)
-  in
-  Alcotest.(check bool) "referee verdict" true result
+  Alcotest.(check (array int)) "messages" [| 2; 3; 4; 5 |]
+    (messages ~rng:(Dut_prng.Rng.create 104) ~source:(const_source 0) ~k:4 ~q:2
+       messenger)
 
 let test_sources () =
   let rng = Dut_prng.Rng.create 105 in
@@ -263,7 +252,6 @@ let () =
           Alcotest.test_case "paper form" `Quick test_reject_threshold_matches_paper_form;
           Alcotest.test_case "accept at least" `Quick test_accept_at_least;
           Alcotest.test_case "majority" `Quick test_majority;
-          Alcotest.test_case "custom" `Quick test_custom_rule;
           Alcotest.test_case "errors" `Quick test_rule_errors;
           Alcotest.test_case "names" `Quick test_rule_names;
           Alcotest.test_case "is_local" `Quick test_is_local;

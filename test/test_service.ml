@@ -138,6 +138,47 @@ let test_bound_eval_failures () =
       Query.Bound { name = "centralized"; params = [ ("n", 4096.) ] };
     ]
 
+(* Power and critical answers for every tester the wire names, pinned
+   as response lines. The last query asks for more reject votes than
+   there are players; its error text is the tester constructor's. *)
+let pinned_answers =
+  [
+    ( {|{"id":0,"kind":"power","tester":"and","ell":4,"eps":0.3,"k":8,"q":96,"trials":60,"seed":11}|},
+      {|{"id":0,"status":"ok","value":true}|} );
+    ( {|{"id":1,"kind":"critical","tester":"and","ell":4,"eps":0.3,"k":8,"trials":60,"seed":11}|},
+      {|{"id":1,"status":"ok","value":96}|} );
+    ( {|{"id":2,"kind":"power","tester":"threshold","t":2,"ell":4,"eps":0.3,"k":8,"q":80,"trials":60,"seed":12}|},
+      {|{"id":2,"status":"ok","value":true}|} );
+    ( {|{"id":3,"kind":"critical","tester":"threshold","t":2,"ell":4,"eps":0.3,"k":8,"trials":60,"seed":12}|},
+      {|{"id":3,"status":"ok","value":68}|} );
+    ( {|{"id":4,"kind":"power","tester":"graph","family":"clique","t":1,"ell":4,"eps":0.3,"k":8,"q":120,"trials":60,"seed":13}|},
+      {|{"id":4,"status":"ok","value":true}|} );
+    ( {|{"id":5,"kind":"critical","tester":"graph","family":"clique","t":1,"ell":4,"eps":0.3,"k":8,"trials":60,"seed":13}|},
+      {|{"id":5,"status":"ok","value":82}|} );
+    ( {|{"id":6,"kind":"power","tester":"graph","family":"matching","ell":3,"eps":0.5,"k":8,"q":400,"trials":60,"seed":14}|},
+      {|{"id":6,"status":"ok","value":false}|} );
+    ( {|{"id":7,"kind":"critical","tester":"graph","family":"matching","ell":3,"eps":0.5,"k":8,"trials":60,"seed":14}|},
+      {|{"id":7,"status":"ok","value":590}|} );
+    ( {|{"id":8,"kind":"power","tester":"threshold","t":9,"ell":4,"eps":0.3,"k":8,"q":12,"trials":60,"seed":12}|},
+      {|{"id":8,"status":"error","error":"Comparison_graph.tester_fixed: t outside [1,k]"}|} );
+  ]
+
+let test_pinned_answers () =
+  List.iter
+    (fun (line, expect) ->
+      let r = Query.request_of_line line in
+      let payload =
+        match r.query with
+        | Error msg -> Alcotest.failf "%s: %s" line msg
+        | Ok q -> (
+            match Query.ok_payload (Query.eval q) with
+            | p -> p
+            | exception (Failure msg | Invalid_argument msg) ->
+                Query.error_payload msg)
+      in
+      Alcotest.(check string) line expect (Query.response_line ~id:r.id payload))
+    pinned_answers
+
 (* -- Memo ---------------------------------------------------------------- *)
 
 let counter = Dut_obs.Metrics.value
@@ -600,4 +641,6 @@ let () =
           Alcotest.test_case "shared-store replay across shard counts"
             `Quick test_route_batch_shared_store_replay;
         ] );
+      ( "pinned",
+        [ Alcotest.test_case "power and critical answers" `Quick test_pinned_answers ] );
     ]

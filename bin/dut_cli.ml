@@ -539,10 +539,11 @@ let query_cmd =
       & opt (some float) None
       & info [ "timeout-s" ] ~docv:"SECONDS"
           ~doc:
-            "Give up after $(docv) without a full set of responses: \
-             unanswered ids are filled with an error payload (one output \
-             line per input line still holds) and the exit code is 2. \
-             Without it the wait is unbounded.")
+            "Give up after $(docv) without a full set of responses; the \
+             deadline covers sending the batch as well as waiting for \
+             answers. Unanswered ids are filled with an error payload (one \
+             output line per input line still holds) and the exit code is \
+             2. Without it the exchange is unbounded.")
   in
   let run socket timeout_s query batch =
     (match timeout_s with
@@ -569,7 +570,7 @@ let query_cmd =
 
 let stream_cmd =
   let doc =
-    "Ingest a sample stream (whitespace-separated integers from $(docv) or \
+    "Ingest a sample stream (whitespace-separated integers from FILE or \
      stdin) through a bounded-memory sketch and print anytime-valid \
      checkpoint verdicts plus the final batch-rule verdict. Output is \
      byte-identical for every $(b,--jobs) value: chunk boundaries, sketch \

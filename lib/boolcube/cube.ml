@@ -1,5 +1,3 @@
-let max_dim = 25
-
 let coord x i = if (x lsr i) land 1 = 1 then -1 else 1
 
 let of_signs signs =

@@ -9,11 +9,6 @@
 
     Index subsets S ⊆ {0..b-1} are encoded the same way, as bitmasks. *)
 
-val max_dim : int
-(** The largest supported dimension (points must fit into a non-negative
-    OCaml int with room for array sizes; we cap at 25, i.e. tables of at
-    most 2^25 floats ≈ 256 MB). *)
-
 val coord : int -> int -> int
 (** [coord x i] is the i-th ±1 coordinate of point [x]: [-1] if bit [i] of
     [x] is set, [+1] otherwise. *)

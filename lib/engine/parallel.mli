@@ -30,10 +30,6 @@ val env_jobs : unit -> int
     non-positive value also falls back to 1, with a one-shot stderr
     warning naming the rejected value. *)
 
-val default_jobs : unit -> int
-(** The ambient jobs count used when [?jobs] is omitted; initially
-    {!env_jobs}[ ()]. *)
-
 val set_default_jobs : int -> unit
 (** Set the ambient jobs count (process-wide).
 

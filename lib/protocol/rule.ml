@@ -41,7 +41,3 @@ let name = function
   | Reject_threshold t -> Printf.sprintf "reject>=%d" t
   | Accept_at_least c -> Printf.sprintf "accept>=%d" c
   | Majority -> "majority"
-
-let is_local = function
-  | And | Reject_threshold 1 -> true
-  | Or | Reject_threshold _ | Accept_at_least _ | Majority -> false

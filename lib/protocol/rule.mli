@@ -44,8 +44,3 @@ val accept_min : t -> k:int -> int
 
 val name : t -> string
 (** Human-readable name for tables and logs. *)
-
-val is_local : t -> bool
-(** The locality notion of the introduction: [true] for {!And} (and
-    [Reject_threshold 1]) — any single node can force rejection, so no
-    decision collection logic is needed beyond an alarm wire. *)

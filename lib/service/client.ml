@@ -15,14 +15,6 @@ let prepare i line =
       Ok (J.to_string (J.Obj (("id", J.int i) :: kvs)))
   | _ -> Error (Query.error_payload "bad query: expected a JSON object")
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write fd b !off (len - !off)
-  done
-
 let run ?timeout_s ~socket ~out lines =
   let lines = List.filter (fun l -> String.trim l <> "") lines in
   let n = List.length lines in
@@ -43,75 +35,62 @@ let run ?timeout_s ~socket ~out lines =
   let outstanding = ref (List.length to_send) in
   let timed_out = ref false in
   let connect_and_exchange () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let conn = Conn.connect socket in
     Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      ~finally:(fun () -> Conn.close conn)
       (fun () ->
-        Unix.connect fd (Unix.ADDR_UNIX socket);
-        write_all fd (String.concat "" (List.map (fun l -> l ^ "\n") to_send));
-        let buf = Bytes.create 65536 in
-        let acc = Buffer.create 4096 in
+        List.iter (Conn.send conn) to_send;
         let record line =
-          if String.trim line <> "" then
-            match J.parse line with
-            | exception J.Malformed _ -> ()
-            | j -> (
-                match J.field_opt j "id" with
-                | Some (J.Num f)
-                  when Float.is_integer f
-                       && int_of_float f >= 0
-                       && int_of_float f < n -> (
-                    let id = int_of_float f in
-                    match responses.(id) with
-                    | None ->
-                        responses.(id) <- Some line;
-                        decr outstanding
-                    | Some _ ->
-                        (* A second answer for a filled slot must not
-                           decrement [outstanding] (that would end the
-                           wait early and drop a sibling's answer) —
-                           it is a counted, logged no-op. *)
-                        Dut_obs.Metrics.incr m_duplicates;
-                        Printf.eprintf
-                          "dut query: duplicate response for id %d (ignored)\n%!"
-                          id)
-                | _ -> ())
+          match J.parse line with
+          | exception J.Malformed _ -> ()
+          | j -> (
+              match J.field_opt j "id" with
+              | Some (J.Num f)
+                when Float.is_integer f
+                     && int_of_float f >= 0
+                     && int_of_float f < n -> (
+                  let id = int_of_float f in
+                  match responses.(id) with
+                  | None ->
+                      responses.(id) <- Some line;
+                      decr outstanding
+                  | Some _ ->
+                      (* A second answer for a filled slot must not
+                         decrement [outstanding] (that would end the
+                         wait early and drop a sibling's answer) —
+                         it is a counted, logged no-op. *)
+                      Dut_obs.Metrics.incr m_duplicates;
+                      Printf.eprintf
+                        "dut query: duplicate response for id %d (ignored)\n%!"
+                        id)
+              | _ -> ())
         in
-        (* Absolute deadline across the whole read phase: without one, a
-           server that drops a response would park this loop in read(2)
-           forever — the bug the --timeout-s flag exists to bound. *)
+        (* Write before the first poll: a batch that fits the socket
+           buffer goes out in one write(2), as a blocking client's
+           would. *)
+        Conn.flush conn;
+        (* One absolute deadline over sending and receiving alike: a
+           server that stops reading must not park this loop in
+           write(2), nor one that drops a response in read(2). *)
         let deadline =
           Option.map (fun s -> Unix.gettimeofday () +. s) timeout_s
         in
         while !outstanding > 0 && not !timed_out do
-          let readable =
+          if Conn.eof conn || not (Conn.alive conn) then
+            failwith "server closed the connection before responding";
+          let timeout_ms =
             match deadline with
-            | None -> true
+            | None -> -1
             | Some d ->
-                let remaining_ms =
-                  int_of_float (ceil ((d -. Unix.gettimeofday ()) *. 1000.))
-                in
-                if remaining_ms <= 0 then false
-                else
-                  (Poll.wait ~timeout_ms:remaining_ms [| (fd, Poll.rd) |]).(0)
-                    .Poll.read
+                max 0 (int_of_float (ceil ((d -. Unix.gettimeofday ()) *. 1000.)))
           in
-          if not readable then timed_out := true
+          if timeout_ms = 0 then timed_out := true
           else
-            match Unix.read fd buf 0 (Bytes.length buf) with
-            | 0 -> failwith "server closed the connection before responding"
-            | len -> (
-                Buffer.add_subbytes acc buf 0 len;
-                let data = Buffer.contents acc in
-                match String.rindex_opt data '\n' with
-                | None -> ()
-                | Some last ->
-                    Buffer.clear acc;
-                    Buffer.add_string acc
-                      (String.sub data (last + 1)
-                         (String.length data - last - 1));
-                    List.iter record
-                      (String.split_on_char '\n' (String.sub data 0 last)))
+            let ready =
+              (Poll.wait ~timeout_ms [| (Conn.fd conn, Conn.interest conn) |]).(0)
+            in
+            if ready.Poll.read then List.iter record (Conn.read conn);
+            if ready.Poll.write then Conn.flush conn
         done)
   in
   match (if !outstanding > 0 then connect_and_exchange ()) with

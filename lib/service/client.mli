@@ -21,7 +21,9 @@ val run :
     response is an error, [2] when the server cannot be reached, closes
     the connection early, or — with [timeout_s] — fails to answer every
     id before the deadline (after printing a diagnostic to stderr).
-    Without [timeout_s] the wait is unbounded; on expiry every
+    Sending and receiving interleave over one {!Conn}, so the deadline
+    bounds the whole exchange, a server that stops reading included.
+    Without [timeout_s] the exchange is unbounded; on expiry every
     unanswered slot is filled with the
     [{"status":"error","error":"no response received"}] payload so the
     output still carries one line per input line. *)

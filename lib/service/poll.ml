@@ -2,8 +2,6 @@ type interest = { read : bool; write : bool }
 
 let rd = { read = true; write = false }
 
-let rw = { read = true; write = true }
-
 external poll_stub :
   Unix.file_descr array -> Bytes.t -> Bytes.t -> int -> int = "dut_poll_stub"
 

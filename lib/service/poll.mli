@@ -10,10 +10,8 @@
 type interest = { read : bool; write : bool }
 
 val rd : interest
-(** Readable only — the common case for idle connections. *)
-
-val rw : interest
-(** Readable and writable — a connection with output queued. *)
+(** Readable only, as a listener is polled; a connection's interest
+    comes from {!Conn.interest}. *)
 
 val wait : timeout_ms:int -> (Unix.file_descr * interest) array -> interest array
 (** [wait ~timeout_ms entries] polls every descriptor for its declared

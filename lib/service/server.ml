@@ -249,56 +249,6 @@ let write_summary ?shard ~config ~status ~created_unix ~started_ns () =
 
 (* -- Socket loop -------------------------------------------------------- *)
 
-type conn = {
-  fd : Unix.file_descr;
-  pending_input : Buffer.t;  (* bytes read but not yet newline-terminated *)
-  mutable alive : bool;
-  mutable eof : bool;  (* peer half-closed: answer, then close *)
-}
-
-let read_chunk_size = 65536
-
-(* Append freshly read bytes and peel off every complete line. *)
-let take_lines conn (bytes : Bytes.t) len =
-  Buffer.add_subbytes conn.pending_input bytes 0 len;
-  let data = Buffer.contents conn.pending_input in
-  match String.rindex_opt data '\n' with
-  | None -> []
-  | Some last ->
-      Buffer.clear conn.pending_input;
-      Buffer.add_string conn.pending_input
-        (String.sub data (last + 1) (String.length data - last - 1));
-      String.split_on_char '\n' (String.sub data 0 last)
-      |> List.filter (fun l -> String.trim l <> "")
-
-(* On EOF the tail of [pending_input] — a final request the client sent
-   without a trailing newline before closing — is still a request.
-   Flushing it through the same non-blank-line semantics keeps "one
-   response per line" true for clients that close right after their
-   last byte. *)
-let flush_pending conn =
-  let data = Buffer.contents conn.pending_input in
-  Buffer.clear conn.pending_input;
-  if String.trim data = "" then [] else [ data ]
-
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write fd b !off (len - !off)
-  done
-
-let send conn line =
-  if conn.alive then
-    try write_all conn.fd (line ^ "\n")
-    with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-      conn.alive <- false
-
-let close_conn conn =
-  conn.alive <- false;
-  try Unix.close conn.fd with Unix.Unix_error _ -> ()
-
 (* Probing before unlinking is what makes `dut serve` safe to restart:
    a stale socket file left by a crash refuses the connect and is
    removed, but a live server accepts it — and this process must then
@@ -308,18 +258,14 @@ let prepare_socket path =
   match Unix.stat path with
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
   | { Unix.st_kind = Unix.S_SOCK; _ } ->
-      let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       let live =
-        Fun.protect
-          ~finally:(fun () ->
-            try Unix.close probe with Unix.Unix_error _ -> ())
-          (fun () ->
-            match Unix.connect probe (Unix.ADDR_UNIX path) with
-            | () -> true
-            | exception
-                Unix.Unix_error
-                  ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) ->
-                false)
+        match Conn.connect path with
+        | probe ->
+            Conn.close probe;
+            true
+        | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
+          ->
+            false
       in
       if live then
         failwith
@@ -339,21 +285,6 @@ let bind_listener path =
   Unix.set_nonblock listener;
   listener
 
-let accept_pending listener conns =
-  let rec go () =
-    match Unix.accept listener with
-    | fd, _ ->
-        conns :=
-          { fd; pending_input = Buffer.create 256; alive = true; eof = false }
-          :: !conns;
-        go ()
-    | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) -> ()
-    | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
-        go ()
-    | exception Unix.Unix_error _ -> ()
-  in
-  go ()
-
 let serve ?shard config =
   (* A client that disconnects mid-response must cost the server one
      dropped connection, not a fatal SIGPIPE. *)
@@ -369,21 +300,21 @@ let serve ?shard config =
   publish "serving";
   Printf.eprintf "dut: serving on %s (jobs=%d%s)\n%!" config.socket config.jobs
     (match config.cache with None -> ", cache off" | Some _ -> "");
-  (* Connections are prepended (O(1)); every traversal that must see
-     arrival order reverses once (O(n) per tick — the old
-     [!conns @ [c]] rebuild was O(n²) across n accepts). *)
+  (* Live connections in arrival order: the order a batch is cut in. *)
   let conns = ref [] in
   let module Runner = Dut_experiments.Runner in
   Runner.with_sigint_guard (fun () ->
-      let buf = Bytes.create read_chunk_size in
       while not (Runner.interrupted ()) do
-        let ordered = List.rev !conns in
+        let ordered = !conns in
         let entries =
           Array.of_list
-            ((listener, Poll.rd) :: List.map (fun c -> (c.fd, Poll.rd)) ordered)
+            ((listener, Poll.rd)
+            :: List.map (fun c -> (Conn.fd c, Conn.interest c)) ordered)
         in
         let ready = Poll.wait ~timeout_ms:250 entries in
-        if ready.(0).Poll.read then accept_pending listener conns;
+        let accepted =
+          if ready.(0).Poll.read then Conn.accept_all listener else []
+        in
         (* Arrival order over all ready clients defines the batch
            order; each response carries its request id, so clients
            are insensitive to interleaving across connections. *)
@@ -391,27 +322,13 @@ let serve ?shard config =
         let n_pending = ref 0 in
         List.iteri
           (fun i conn ->
-            if conn.alive && ready.(i + 1).Poll.read then
-              let lines =
-                match Unix.read conn.fd buf 0 read_chunk_size with
-                | 0 ->
-                    conn.eof <- true;
-                    flush_pending conn
-                | len -> take_lines conn buf len
-                | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-                    close_conn conn;
-                    []
-                | exception
-                    Unix.Unix_error
-                      ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _) ->
-                    []
-              in
+            if ready.(i + 1).Poll.read then
               List.iter
                 (fun line ->
                   let request = Query.request_of_line line in
                   if !n_pending >= config.max_pending then begin
                     Dut_obs.Metrics.incr m_rejected;
-                    send conn
+                    Conn.send conn
                       (Query.response_line ~id:request.Query.id
                          (Query.error_payload
                             (Printf.sprintf
@@ -423,7 +340,7 @@ let serve ?shard config =
                     incr n_pending;
                     pending := (conn, request) :: !pending
                   end)
-                lines)
+                (Conn.read conn))
           ordered;
         (match List.rev !pending with
         | [] -> ()
@@ -437,14 +354,18 @@ let serve ?shard config =
                out: once a client has its answer, `dut obs-report`
                already accounts for it. *)
             publish "serving";
-            List.iteri (fun i (conn, _) -> send conn responses.(i)) batch);
-        (* Half-closed peers have their answers by now; finish the
-           close so they never re-enter the poll set. *)
-        List.iter (fun c -> if c.eof && c.alive then close_conn c) ordered;
-        conns := List.filter (fun c -> c.alive) !conns
+            List.iteri (fun i (conn, _) -> Conn.send conn responses.(i)) batch);
+        List.iter Conn.flush ordered;
+        (* A half-closed peer with every answer written is done: close
+           it so it never re-enters the poll set. *)
+        List.iter
+          (fun c -> if Conn.eof c && Conn.flushed c then Conn.close c)
+          ordered;
+        conns := List.filter Conn.alive ordered @ accepted
       done);
-  List.iter close_conn !conns;
   (try Unix.close listener with Unix.Unix_error _ -> ());
   (try Unix.unlink config.socket with Unix.Unix_error _ -> ());
+  (* Replies still queued for slow readers get 10s, as in a fleet. *)
+  Conn.drain ~until:(Unix.gettimeofday () +. 10.) !conns;
   publish "closed";
   Printf.eprintf "dut: service drained — summary at %s\n%!" config.summary_path

@@ -27,16 +27,19 @@
       ([cache.hits]/[cache.misses]).
     - {e graceful shutdown}: the loop runs under
       {!Dut_experiments.Runner.with_sigint_guard} — the first
-      SIGINT/SIGTERM finishes the in-flight batch, flushes responses,
-      writes the final session summary and returns normally (the CLI
-      exits 0); a second signal force-exits.
+      SIGINT/SIGTERM finishes the in-flight batch, flushes responses
+      (10s grace), writes the final session summary and returns
+      normally (the CLI exits 0); a second signal force-exits.
 
     The connection loop waits on poll(2) (see {!Poll}), so the number
     of concurrent clients is bounded by the fd ulimit, not
-    FD_SETSIZE, and each wake-up drains the whole accept queue. A peer
-    that half-closes after its last byte still gets every answer: the
-    unterminated tail of its input buffer is flushed through the line
-    semantics on EOF before the connection is reaped.
+    FD_SETSIZE, and each wake-up drains the whole accept queue. Each
+    client is a {!Conn}: one read per ready connection per tick, and
+    replies queued and flushed without blocking, so a client that
+    stops reading never stalls the others. A peer that half-closes
+    after its last byte still gets every answer: the unterminated tail
+    of its input is a request, and the connection is reaped once its
+    replies are written.
 
     The session summary ([summary_path], schema [dut-service/4]) is
     rewritten atomically after every batch, so a live server can be

@@ -124,46 +124,9 @@ let route_batch ?caches ?deadline_s ~jobs ~shards
 
 (* -- Fleet orchestration ------------------------------------------------- *)
 
-type outq = { out : Buffer.t; mutable out_start : int }
-
-let new_outq () = { out = Buffer.create 256; out_start = 0 }
-
-let q_empty q = q.out_start >= Buffer.length q.out
-
-let q_push q s = Buffer.add_string q.out s
-
-(* Non-blocking flush; [`Closed] when the peer is gone. A fully-drained
-   buffer is reset so it never grows without bound. *)
-let q_flush fd q =
-  let result = ref `Done in
-  (try
-     while not (q_empty q) && !result = `Done do
-       let len = min 65536 (Buffer.length q.out - q.out_start) in
-       let chunk = Buffer.sub q.out q.out_start len in
-       match Unix.write_substring fd chunk 0 len with
-       | written ->
-           q.out_start <- q.out_start + written;
-           if written < len then result := `More
-       | exception
-           Unix.Unix_error
-             ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _) ->
-           result := `More
-     done
-   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-     result := `Closed);
-  if q_empty q then begin
-    Buffer.clear q.out;
-    q.out_start <- 0
-  end;
-  !result
-
-type cconn = {
-  c_fd : Unix.file_descr;
-  c_in : Buffer.t;
-  c_q : outq;
-  mutable c_alive : bool;
-  mutable c_eof : bool;
-  mutable c_inflight : int;  (* routed requests not yet answered *)
+type client = {
+  conn : Conn.t;
+  mutable inflight : int;  (* routed requests not yet answered *)
 }
 
 type wconn = {
@@ -171,29 +134,10 @@ type wconn = {
   w_pid : int;
   w_socket : string;
   w_summary : string;
-  mutable w_fd : Unix.file_descr option;  (* None once dead *)
-  w_in : Buffer.t;
-  w_q : outq;
+  mutable w_conn : Conn.t option;  (* None once dead *)
 }
 
-type route = { r_client : cconn; r_client_id : int; r_shard : int }
-
-let take_lines buf (bytes : Bytes.t) len =
-  Buffer.add_subbytes buf bytes 0 len;
-  let data = Buffer.contents buf in
-  match String.rindex_opt data '\n' with
-  | None -> []
-  | Some last ->
-      Buffer.clear buf;
-      Buffer.add_string buf
-        (String.sub data (last + 1) (String.length data - last - 1));
-      String.split_on_char '\n' (String.sub data 0 last)
-      |> List.filter (fun l -> String.trim l <> "")
-
-let flush_trailing buf =
-  let data = Buffer.contents buf in
-  Buffer.clear buf;
-  if String.trim data = "" then [] else [ data ]
+type route = { r_client : client; r_client_id : int; r_shard : int }
 
 let read_file path =
   match open_in_bin path with
@@ -245,7 +189,7 @@ let fleet_summary ~(config : Server.config) ~status ~created_unix
   let hits = sum "cache_hits" and misses = sum "cache_misses" in
   let alive =
     List.fold_left
-      (fun acc w -> if w.w_fd <> None then acc + 1 else acc)
+      (fun acc w -> if w.w_conn <> None then acc + 1 else acc)
       0 workers
   in
   let count name = J.int (Dut_obs.Metrics.value name) in
@@ -280,7 +224,7 @@ let fleet_summary ~(config : Server.config) ~status ~created_unix
                    ("pid", J.int w.w_pid);
                    ("socket", J.Str w.w_socket);
                    ("summary", J.Str w.w_summary);
-                   ("alive", J.Bool (w.w_fd <> None));
+                   ("alive", J.Bool (w.w_conn <> None));
                    ( "status",
                      match Option.bind j (fun j -> J.field_opt j "status") with
                      | Some s -> s
@@ -325,21 +269,14 @@ let write_fleet_summary ~config ~status ~created_unix ~started_ns ~workers =
 
 let connect_retrying path =
   let rec go tries =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | () ->
-        Unix.set_nonblock fd;
-        Some fd
+    match Conn.connect path with
+    | conn -> Some conn
     | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
         if tries >= 400 then None
         else begin
           Unix.sleepf 0.025;
           go (tries + 1)
         end
-    | exception e ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        raise e
   in
   go 0
 
@@ -410,15 +347,13 @@ let serve_fleet ~shards (config : Server.config) =
       Array.to_list
         (Array.init shards (fun i ->
              match connect_retrying (shard_socket config.Server.socket i) with
-             | Some fd ->
+             | Some conn ->
                  {
                    w_shard = i;
                    w_pid = pids.(i);
                    w_socket = shard_socket config.Server.socket i;
                    w_summary = shard_summary config.Server.summary_path i;
-                   w_fd = Some fd;
-                   w_in = Buffer.create 4096;
-                   w_q = new_outq ();
+                   w_conn = Some conn;
                  }
              | None ->
                  kill_workers Sys.sigterm;
@@ -448,17 +383,15 @@ let serve_fleet ~shards (config : Server.config) =
       end
     in
     let respond_local client id payload =
-      if client.c_alive then q_push client.c_q (Query.response_line ~id payload ^ "\n");
+      Conn.send client.conn (Query.response_line ~id payload);
       dirty := true
     in
     (* A worker vanishing mid-batch fails exactly the requests routed to
        it — in flight now, or arriving while it is down — with an error
        naming the shard; every other shard keeps answering. *)
     let mark_dead w =
-      (match w.w_fd with
-      | Some fd -> (try Unix.close fd with Unix.Unix_error _ -> ())
-      | None -> ());
-      w.w_fd <- None;
+      Option.iter Conn.close w.w_conn;
+      w.w_conn <- None;
       let dead = ref [] in
       Hashtbl.iter
         (fun rid route -> if route.r_shard = w.w_shard then dead := (rid, route) :: !dead)
@@ -467,7 +400,7 @@ let serve_fleet ~shards (config : Server.config) =
         (fun (rid, route) ->
           Hashtbl.remove routes rid;
           Dut_obs.Metrics.incr m_dead_rejects;
-          route.r_client.c_inflight <- route.r_client.c_inflight - 1;
+          route.r_client.inflight <- route.r_client.inflight - 1;
           respond_local route.r_client route.r_client_id
             (Query.error_payload
                (Printf.sprintf "shard %d died mid-batch; retry" w.w_shard)))
@@ -482,22 +415,22 @@ let serve_fleet ~shards (config : Server.config) =
             (Query.error_payload ("bad query: " ^ msg))
       | Ok q -> (
           let s = lookup routing (Query.canonical q) in
-          match warr.(s).w_fd with
+          match warr.(s).w_conn with
           | None ->
               Dut_obs.Metrics.incr m_dead_rejects;
               respond_local client request.Query.id
                 (Query.error_payload
                    (Printf.sprintf "shard %d unavailable; retry" s))
-          | Some _ ->
+          | Some worker ->
               let rid = !next_rid in
               incr next_rid;
               Hashtbl.add routes rid
                 { r_client = client; r_client_id = request.Query.id; r_shard = s };
-              client.c_inflight <- client.c_inflight + 1;
+              client.inflight <- client.inflight + 1;
               Dut_obs.Metrics.incr m_routed;
-              q_push warr.(s).w_q (Query.request_to_line ~id:rid q ^ "\n"))
+              Conn.send worker (Query.request_to_line ~id:rid q))
     in
-    let handle_worker_line w line =
+    let handle_worker_line line =
       match response_id line with
       | None -> Dut_obs.Metrics.incr m_stray
       | Some rid -> (
@@ -505,130 +438,61 @@ let serve_fleet ~shards (config : Server.config) =
           | None -> Dut_obs.Metrics.incr m_stray
           | Some route ->
               Hashtbl.remove routes rid;
-              route.r_client.c_inflight <- route.r_client.c_inflight - 1;
-              if route.r_client.c_alive then
-                q_push route.r_client.c_q
-                  (rekey_response ~client_id:route.r_client_id line ^ "\n");
-              dirty := true;
-              ignore w)
+              route.r_client.inflight <- route.r_client.inflight - 1;
+              Conn.send route.r_client.conn
+                (rekey_response ~client_id:route.r_client_id line);
+              dirty := true)
     in
-    let close_client c =
-      c.c_alive <- false;
-      try Unix.close c.c_fd with Unix.Unix_error _ -> ()
-    in
-    let accept_pending () =
-      let rec go () =
-        match Unix.accept listener with
-        | fd, _ ->
-            Unix.set_nonblock fd;
-            clients :=
-              {
-                c_fd = fd;
-                c_in = Buffer.create 256;
-                c_q = new_outq ();
-                c_alive = true;
-                c_eof = false;
-                c_inflight = 0;
-              }
-              :: !clients;
-            go ()
-        | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) ->
-            ()
-        | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
-            go ()
-        | exception Unix.Unix_error _ -> ()
-      in
-      go ()
-    in
-    let buf = Bytes.create 65536 in
-    (* One router tick: poll everything, accept, shuttle lines both
-       ways, flush what can be flushed. [accepting] is false during the
-       shutdown drain. *)
+    (* One router tick: poll everything, accept, read one chunk from
+       each ready client and worker and route its lines, then flush
+       what can be flushed. [accepting] is false during the shutdown
+       drain. *)
     let tick ~accepting =
-      let ordered = List.rev !clients in
-      let live_workers = List.filter (fun w -> w.w_fd <> None) workers in
+      let ordered = !clients in
+      let live =
+        List.filter_map
+          (fun w -> Option.map (fun conn -> (w, conn)) w.w_conn)
+          workers
+      in
       let entries =
         Array.of_list
           ((if accepting then [ (listener, Poll.rd) ] else [])
-          @ List.map
-              (fun c ->
-                (c.c_fd, if q_empty c.c_q then Poll.rd else Poll.rw))
-              ordered
-          @ List.map
-              (fun w ->
-                ( Option.get w.w_fd,
-                  if q_empty w.w_q then Poll.rd else Poll.rw ))
-              live_workers)
+          @ List.map (fun c -> (Conn.fd c.conn, Conn.interest c.conn)) ordered
+          @ List.map (fun (_, conn) -> (Conn.fd conn, Conn.interest conn)) live)
       in
       let ready = Poll.wait ~timeout_ms:250 entries in
       let base = if accepting then 1 else 0 in
-      if accepting && ready.(0).Poll.read then accept_pending ();
+      let accepted =
+        if accepting && ready.(0).Poll.read then Conn.accept_all listener
+        else []
+      in
       List.iteri
         (fun i c ->
-          let r = ready.(base + i) in
-          if c.c_alive && r.Poll.read then begin
-            let lines =
-              match Unix.read c.c_fd buf 0 (Bytes.length buf) with
-              | 0 ->
-                  c.c_eof <- true;
-                  flush_trailing c.c_in
-              | len -> take_lines c.c_in buf len
-              | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-                  close_client c;
-                  []
-              | exception
-                  Unix.Unix_error
-                    ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _) ->
-                  []
-            in
-            List.iter (handle_client_line c) lines
-          end;
-          if c.c_alive && (r.Poll.write || not (q_empty c.c_q)) then
-            match q_flush c.c_fd c.c_q with
-            | `Closed -> close_client c
-            | `Done | `More -> ())
+          if ready.(base + i).Poll.read then
+            List.iter (handle_client_line c) (Conn.read c.conn))
         ordered;
       let nclients = List.length ordered in
       List.iteri
-        (fun i w ->
-          let r = ready.(base + nclients + i) in
-          match w.w_fd with
-          | None -> ()
-          | Some fd ->
-              (if r.Poll.read then
-                 let lines =
-                   match Unix.read fd buf 0 (Bytes.length buf) with
-                   | 0 ->
-                       mark_dead w;
-                       []
-                   | len -> take_lines w.w_in buf len
-                   | exception
-                       Unix.Unix_error
-                         ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-                       mark_dead w;
-                       []
-                   | exception
-                       Unix.Unix_error
-                         ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _)
-                     ->
-                       []
-                 in
-                 List.iter (handle_worker_line w) lines);
-              (match w.w_fd with
-              | Some fd when r.Poll.write || not (q_empty w.w_q) -> (
-                  match q_flush fd w.w_q with
-                  | `Closed -> mark_dead w
-                  | `Done | `More -> ())
-              | _ -> ()))
-        live_workers;
+        (fun i (_, conn) ->
+          if ready.(base + nclients + i).Poll.read then
+            List.iter handle_worker_line (Conn.read conn))
+        live;
+      List.iter
+        (fun (w, conn) ->
+          Conn.flush conn;
+          if Conn.eof conn || not (Conn.alive conn) then mark_dead w)
+        live;
+      List.iter (fun c -> Conn.flush c.conn) ordered;
       (* Reap clients that are done: half-closed with every routed
          request answered and every byte flushed. *)
       List.iter
         (fun c ->
-          if c.c_alive && c.c_eof && c.c_inflight = 0 && q_empty c.c_q then
-            close_client c)
+          if Conn.eof c.conn && c.inflight = 0 && Conn.flushed c.conn then
+            Conn.close c.conn)
         ordered;
-      clients := List.filter (fun c -> c.c_alive) !clients
+      clients :=
+        List.filter (fun c -> Conn.alive c.conn) ordered
+        @ List.map (fun conn -> { conn; inflight = 0 }) accepted
     in
     let module Runner = Dut_experiments.Runner in
     Printf.eprintf "dut: fleet of %d shards on %s (jobs=%d per shard)\n%!"
@@ -648,8 +512,8 @@ let serve_fleet ~shards (config : Server.config) =
         let grace_until = Unix.gettimeofday () +. 10. in
         while
           (Hashtbl.length routes > 0
-          || List.exists (fun c -> c.c_alive && not (q_empty c.c_q)) !clients)
-          && List.exists (fun w -> w.w_fd <> None) workers
+          || List.exists (fun c -> not (Conn.flushed c.conn)) !clients)
+          && List.exists (fun w -> w.w_conn <> None) workers
           && Unix.gettimeofday () < grace_until
         do
           tick ~accepting:false
@@ -664,18 +528,11 @@ let serve_fleet ~shards (config : Server.config) =
             respond_local route.r_client route.r_client_id
               (Query.error_payload "fleet shutting down; response dropped"))
           leftovers;
-        List.iter
-          (fun c ->
-            if c.c_alive then ignore (q_flush c.c_fd c.c_q);
-            close_client c)
-          !clients;
+        Conn.drain ~until:grace_until (List.map (fun c -> c.conn) !clients);
         List.iter
           (fun w ->
-            match w.w_fd with
-            | Some fd ->
-                (try Unix.close fd with Unix.Unix_error _ -> ());
-                w.w_fd <- None
-            | None -> ())
+            Option.iter Conn.close w.w_conn;
+            w.w_conn <- None)
           workers);
     Array.iter
       (fun pid ->

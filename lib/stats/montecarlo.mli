@@ -3,8 +3,9 @@
     All estimators run their trials through {!Dut_engine.Parallel}:
     child RNG streams are pre-split per trial in index order, so the
     result is bit-identical for every [jobs] count (and identical to the
-    historical sequential loop). [jobs] defaults to the ambient
-    {!Dut_engine.Parallel.default_jobs}, i.e. [DUT_JOBS] or 1. *)
+    historical sequential loop). [jobs] defaults to the ambient value
+    set by {!Dut_engine.Parallel.set_default_jobs}, initially
+    [DUT_JOBS] or 1. *)
 
 val estimate_prob :
   ?jobs:int ->

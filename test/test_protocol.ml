@@ -59,15 +59,6 @@ let test_rule_names () =
     (Dut_protocol.Rule.name (Reject_threshold 3));
   Alcotest.(check string) "majority" "majority" (Dut_protocol.Rule.name Majority)
 
-let test_is_local () =
-  Alcotest.(check bool) "AND local" true (Dut_protocol.Rule.is_local And);
-  Alcotest.(check bool) "t=1 local" true
-    (Dut_protocol.Rule.is_local (Reject_threshold 1));
-  Alcotest.(check bool) "t=2 not local" false
-    (Dut_protocol.Rule.is_local (Reject_threshold 2));
-  Alcotest.(check bool) "majority not local" false
-    (Dut_protocol.Rule.is_local Majority)
-
 (* -- Network ---------------------------------------------------------- *)
 
 let const_source value _rng = value
@@ -254,7 +245,6 @@ let () =
           Alcotest.test_case "majority" `Quick test_majority;
           Alcotest.test_case "errors" `Quick test_rule_errors;
           Alcotest.test_case "names" `Quick test_rule_names;
-          Alcotest.test_case "is_local" `Quick test_is_local;
         ] );
       ( "network",
         [

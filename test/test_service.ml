@@ -406,6 +406,246 @@ let test_client_timeout_and_duplicates () =
       Alcotest.(check int) "duplicate counted once" (dups0 + 1)
         (counter "service.duplicate_responses")
 
+(* -- Serving over the socket ---------------------------------------------- *)
+
+(* These run [dut serve] in a forked child (so: before any pool test)
+   and bound every wait with a watchdog of their own — SO_RCVTIMEO on
+   a raw socket, or a child killed after 30 s — never with the
+   service's deadlines, since a hang is what some of them guard. *)
+
+let bound_line n =
+  Printf.sprintf
+    {|{"kind":"bound","name":"thm11_lower","params":{"n":%d,"k":64,"eps":0.25}}|}
+    n
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let nonblank_lines s =
+  List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
+
+(* Reap [pid] within [seconds], else SIGKILL it; [Some code] only for a
+   normal exit. *)
+let wait_bounded ~seconds pid =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec go () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.02;
+        go ()
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        None
+    | _, Unix.WEXITED code -> Some code
+    | _, _ -> None
+  in
+  go ()
+
+(* Run [f socket] against a forked [Shard.serve_fleet ~shards] (jobs 1,
+   no cache), then stop it with SIGINT as an operator would. *)
+let with_forked_server ?(max_pending = 1024) ~shards f =
+  with_temp_dir @@ fun dir ->
+  let socket = Filename.concat dir "dut.sock" in
+  let config =
+    {
+      Server.socket;
+      jobs = 1;
+      cache = None;
+      deadline_s = None;
+      max_pending;
+      summary_path = Filename.concat dir "summary.json";
+    }
+  in
+  match Unix.fork () with
+  | 0 ->
+      Unix._exit
+        (try
+           Shard.serve_fleet ~shards config;
+           0
+         with _ -> 1)
+  | pid ->
+      let stop () =
+        (try Unix.kill pid Sys.sigint with Unix.Unix_error _ -> ());
+        if wait_bounded ~seconds:20. pid = None then
+          (* A wedged router cannot reap its workers: kill them by the
+             pids their summaries publish. *)
+          for i = 0 to shards - 1 do
+            match
+              J.field_opt
+                (J.parse
+                   (String.trim
+                      (read_file (Shard.shard_summary config.summary_path i))))
+                "pid"
+            with
+            | Some (J.Num p) -> (
+                try Unix.kill (int_of_float p) Sys.sigkill
+                with Unix.Unix_error _ -> ())
+            | _ | (exception _) -> ()
+          done
+      in
+      Fun.protect ~finally:stop (fun () ->
+          let rec ready tries =
+            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            match Unix.connect fd (Unix.ADDR_UNIX socket) with
+            | () -> Unix.close fd
+            | exception Unix.Unix_error _ when tries < 500 ->
+                Unix.close fd;
+                Unix.sleepf 0.02;
+                ready (tries + 1)
+          in
+          ready 0;
+          f socket)
+
+(* Send [payload] in one write, half-close, and read every response
+   line until the server closes. *)
+let raw_exchange socket payload =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 20.;
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      let b = Bytes.of_string payload in
+      Alcotest.(check int) "one write" (Bytes.length b)
+        (Unix.write fd b 0 (Bytes.length b));
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      let acc = Buffer.create 1024 and buf = Bytes.create 4096 in
+      let rec go () =
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 -> ()
+        | n ->
+            Buffer.add_subbytes acc buf 0 n;
+            go ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            Alcotest.fail "no EOF from the server within 20 s"
+      in
+      go ();
+      nonblank_lines (Buffer.contents acc))
+
+(* [Client.run] in a forked child killed after 30 s: the exit code
+   ([None] when killed), the output lines and the wall time. *)
+let client_in_child ?timeout_s ~socket lines =
+  let out_path = Filename.temp_file "dut_client" ".out" in
+  let started = Unix.gettimeofday () in
+  match Unix.fork () with
+  | 0 ->
+      let oc = open_out out_path in
+      let code = try Client.run ?timeout_s ~socket ~out:oc lines with _ -> 99 in
+      close_out oc;
+      Unix._exit code
+  | pid ->
+      let code = wait_bounded ~seconds:30. pid in
+      let elapsed = Unix.gettimeofday () -. started in
+      let out = read_file out_path in
+      Sys.remove out_path;
+      (code, nonblank_lines out, elapsed)
+
+let test_max_pending_overflow () =
+  with_forked_server ~shards:1 ~max_pending:2 @@ fun socket ->
+  let payload =
+    String.concat ""
+      (List.init 5 (fun i ->
+           Printf.sprintf
+             {|{"id":%d,"kind":"bound","name":"thm11_lower","params":{"n":%d,"k":64,"eps":0.25}}|}
+             i (4096 + i)
+           ^ "\n"))
+  in
+  let by_id =
+    List.sort compare
+      (List.map
+         (fun line ->
+           match J.field_opt (J.parse line) "id" with
+           | Some (J.Num f) -> (int_of_float f, line)
+           | _ -> Alcotest.failf "response without an id: %s" line)
+         (raw_exchange socket payload))
+  in
+  Alcotest.(check (list int)) "one response per id" [ 0; 1; 2; 3; 4 ]
+    (List.map fst by_id);
+  List.iter
+    (fun (id, line) ->
+      if id < 2 then
+        Alcotest.(check bool) (Printf.sprintf "id %d ok" id) true
+          (Astring.String.is_infix ~affix:{|"status":"ok"|} line)
+      else
+        Alcotest.(check string) (Printf.sprintf "id %d rejected" id)
+          (Query.response_line ~id
+             (Query.error_payload
+                "server overloaded (2 requests pending); retry"))
+          line)
+    by_id
+
+let test_unterminated_last_request () =
+  List.iter
+    (fun shards ->
+      with_forked_server ~shards @@ fun socket ->
+      match raw_exchange socket (bound_line 4096) with
+      | [ line ] ->
+          Alcotest.(check bool)
+            (Printf.sprintf "shards=%d: ok" shards)
+            true
+            (Astring.String.is_infix ~affix:{|"status":"ok"|} line)
+      | lines ->
+          Alcotest.failf "shards=%d: %d responses, expected 1" shards
+            (List.length lines))
+    [ 1; 2 ]
+
+(* A server that blocks writing replies while its client is still
+   writing the batch deadlocks once both socket buffers fill (about
+   4,000 bound queries); replies must queue instead. *)
+let large_batch shards () =
+  with_forked_server ~shards @@ fun socket ->
+  let lines = List.init 10_000 (fun i -> bound_line (4097 + i)) in
+  let code, out, _ = client_in_child ~timeout_s:60. ~socket lines in
+  Alcotest.(check (option int)) "exit 0, not killed" (Some 0) code;
+  Alcotest.(check int) "one line per request" 10_000 (List.length out);
+  Alcotest.(check int) "every line ok" 10_000
+    (List.length
+       (List.filter
+          (Astring.String.is_infix ~affix:{|"status":"ok"|})
+          out))
+
+(* A peer that accepts and never reads: the client's deadline must
+   bound its sending too, not only its wait for answers. *)
+let test_client_deadline_bounds_sending () =
+  let path = Filename.temp_file "dut_stall" "" in
+  Sys.remove path;
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX path);
+  Unix.listen listener 8;
+  match Unix.fork () with
+  | 0 ->
+      let _conn = Unix.accept listener in
+      Unix.sleepf 30.;
+      Unix._exit 0
+  | stub ->
+      Unix.close listener;
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.kill stub Sys.sigkill;
+          ignore (Unix.waitpid [] stub);
+          try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          let lines = List.init 40_000 (fun i -> bound_line (4097 + i)) in
+          Alcotest.(check bool) "the batch is about 3 MB" true
+            (List.fold_left (fun acc l -> acc + String.length l + 1) 0 lines
+            > 3_000_000);
+          let code, out, elapsed =
+            client_in_child ~timeout_s:0.5 ~socket:path lines
+          in
+          Alcotest.(check (option int)) "exit 2, not killed" (Some 2) code;
+          Alcotest.(check bool)
+            (Printf.sprintf "returned within 10 s (took %.1f s)" elapsed)
+            true (elapsed < 10.);
+          Alcotest.(check int) "one no-response line per request" 40_000
+            (List.length
+               (List.filter
+                  (Astring.String.is_infix ~affix:"no response received")
+                  out)))
+
 (* -- Consistent-hash ring ------------------------------------------------ *)
 
 let test_ring_range_and_determinism () =
@@ -615,6 +855,16 @@ let () =
             test_socket_liveness_probe;
           Alcotest.test_case "client timeout and duplicates" `Quick
             test_client_timeout_and_duplicates;
+          Alcotest.test_case "max-pending overflow" `Quick
+            test_max_pending_overflow;
+          Alcotest.test_case "unterminated last request" `Quick
+            test_unterminated_last_request;
+          Alcotest.test_case "10,000-line batch, one server" `Quick
+            (large_batch 1);
+          Alcotest.test_case "10,000-line batch, 2-shard fleet" `Quick
+            (large_batch 2);
+          Alcotest.test_case "client deadline bounds sending" `Quick
+            test_client_deadline_bounds_sending;
         ] );
       ( "ring",
         [

@@ -157,10 +157,9 @@ let collision_pmf_of_probs ~ell ~q elem_prob =
       tuple.(j) <- e;
       p := !p *. elem_prob.(e)
     done;
-    let c = Local_stat.collisions tuple in
+    let c = Local_stat.collisions_bounded ~n tuple in
     pmf.(c) <- pmf.(c) +. !p
   done;
-  ignore n;
   pmf
 
 let collision_pmf_uniform ~ell ~q =

@@ -40,6 +40,15 @@ let collisions_bounded ~n samples =
     let h = Dut_engine.Scratch.hist ~size:n in
     bump_all h samples 0 (Array.length samples) 0
 
+let draw_collisions ~n ~q source rng =
+  let samples = Dut_engine.Scratch.borrow ~len:q in
+  for i = 0 to q - 1 do
+    samples.(i) <- source rng
+  done;
+  let c = collisions_bounded ~n samples in
+  Dut_engine.Scratch.release samples;
+  c
+
 let pairs q = float_of_int q *. float_of_int (q - 1) /. 2.
 
 let triples q =

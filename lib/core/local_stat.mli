@@ -31,6 +31,14 @@ val collisions_bounded : n:int -> int array -> int
     @raise Invalid_argument if [n <= 0]; samples outside [0 .. n-1] are
     undefined behaviour on the counting path. *)
 
+val draw_collisions :
+  n:int -> q:int -> (Dut_prng.Rng.t -> int) -> Dut_prng.Rng.t -> int
+(** [draw_collisions ~n ~q source rng] draws [q] samples from [source]
+    in order and counts their collisions as {!collisions_bounded} does,
+    in a per-domain scratch buffer: a centralized tester's statistic
+    with no per-call allocation (a fresh q-sample array past 256 words
+    goes straight to the major heap). *)
+
 (** {2 The edge-parameterized cutoff core}
 
     [edges] and [triangles] are float counts of the comparison graph's

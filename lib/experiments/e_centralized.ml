@@ -1,7 +1,9 @@
+(* The collision tester of [Collision.test] (same statistic, same
+   cutoff) without a fresh q-sample array per trial. *)
 let centralized_tester ~n ~eps ~q : Dut_core.Evaluate.tester =
  fun rng source ->
-  let samples = Array.init q (fun _ -> source rng) in
-  Dut_testers.Collision.test ~n ~eps samples
+  float_of_int (Dut_core.Local_stat.draw_collisions ~n ~q source rng)
+  < Dut_testers.Collision.cutoff ~n ~m:q ~eps
 
 let run (cfg : Config.t) =
   let rng = Config.rng cfg in

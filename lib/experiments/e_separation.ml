@@ -13,7 +13,7 @@ let run (cfg : Config.t) =
       [ 0.125; 0.25; 0.5; 1.0; 2.0 ]
   in
   let collisions_of source r q =
-    float_of_int (Dut_core.Local_stat.collisions (Array.init q (fun _ -> source r)))
+    float_of_int (Dut_core.Local_stat.draw_collisions ~n ~q source r)
   in
   let rows =
     List.map

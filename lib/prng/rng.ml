@@ -1,41 +1,79 @@
-type t = {
-  gen : Xoshiro.t;
-  (* Splitting is delegated to a SplitMix64 stream carried alongside the
-     main generator, so child seeds never collide with output bits. *)
-  splitter : Splitmix.t;
-}
+(* The project-wide generator: xoshiro256++ (Blackman & Vigna 2019) for
+   draws, seeded and split through SplitMix64 (Steele, Lea & Flood
+   2014). A generator's whole state is one 40-byte buffer: the xoshiro
+   words s0..s3 at offsets 0, 8, 16 and 24, and the SplitMix64 word of
+   its splitter at 32. The [%caml_bytes_get64u]/[%caml_bytes_set64u]
+   primitives load and store those words unboxed, so the arithmetic
+   below runs in native 64-bit registers.
 
-let m32 = 0xFFFFFFFF
+   Without flambda an [int64] stays unboxed only while it crosses no
+   call that is not inlined, and dune's dev profile compiles with
+   [-opaque], under which no call into another module is inlined. So
+   every hot [int64] lives and dies in this module, passed between
+   [@inline] helpers, and leaves it as an [int], a [float] or a [bool].
+   [Int64.equal], [compare] and [unsigned_rem] are stdlib functions
+   over boxed values; comparisons here are typed [=]/[>=] on [int64]
+   instead, and the one unsigned remainder is spelled out. *)
 
-let of_int64 seed =
-  {
-    gen = Xoshiro.create seed;
-    splitter = Splitmix.create (Splitmix.mix (Int64.lognot seed));
-  }
+type t = Bytes.t
 
-let create seed = of_int64 (Int64.of_int seed)
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let splitter = 32
+
+(* SplitMix64's golden-gamma increment. *)
+let golden = 0x9E3779B97F4A7C15L
+
+(* Stafford's "mix13" finalizer, the output function of SplitMix64. *)
+let[@inline] mix13 z =
+  let z =
+    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
+  in
+  let z =
+    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
+  in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+let mix z = mix13 z
+
+(* Seed [t] from [seed]: the xoshiro words are the first four outputs
+   of a SplitMix64 stream started at [seed] (the all-zero state, which
+   no known seed reaches, falls back to (1, 0, 0, 0)), and the splitter
+   word is mix13 (lognot seed). *)
+let[@inline] seed_into t seed =
+  let z0 = Int64.add seed golden in
+  let z1 = Int64.add z0 golden in
+  let z2 = Int64.add z1 golden in
+  let z3 = Int64.add z2 golden in
+  let s0 = mix13 z0 and s1 = mix13 z1 and s2 = mix13 z2 and s3 = mix13 z3 in
+  let zero = Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L in
+  set t 0 (if zero then 1L else s0);
+  set t 8 s1;
+  set t 16 s2;
+  set t 24 s3;
+  set t splitter (mix13 (Int64.logxor seed (-1L)))
+
+(* The next SplitMix64 output of [t]'s splitter: a child's seed. *)
+let[@inline] child_seed t =
+  let z = Int64.add (get t splitter) golden in
+  set t splitter z;
+  mix13 z
+
+let create seed =
+  let t = Bytes.create 40 in
+  seed_into t (Int64.of_int seed);
+  t
 
 let split t =
-  let child_seed = Splitmix.next_int64 t.splitter in
-  of_int64 child_seed
+  let child = Bytes.create 40 in
+  seed_into child (child_seed t);
+  child
 
-(* In-place split: re-seed [child] with exactly the state [split t]
-   would have built, drawing the same single word from [t]'s splitter —
-   but without allocating the two generator records. The child's own
-   splitter doubles as the SplitMix stream that seeds its xoshiro state
-   (that is precisely what [Xoshiro.create] does with a fresh one), and
-   is then re-pointed at mix(lognot child_seed), matching [of_int64]. *)
-let split_into t child =
-  Splitmix.next_pair t.splitter;
-  let sh = Splitmix.out_hi t.splitter and sl = Splitmix.out_lo t.splitter in
-  Splitmix.set_state child.splitter ~hi:sh ~lo:sl;
-  Xoshiro.reseed child.gen child.splitter;
-  (* splitter state := mix (lognot child_seed); lognot in the pair
-     domain is xor with all-ones halves. *)
-  Splitmix.mix_pair child.splitter ~hi:(sh lxor m32) ~lo:(sl lxor m32);
-  Splitmix.set_state child.splitter
-    ~hi:(Splitmix.out_hi child.splitter)
-    ~lo:(Splitmix.out_lo child.splitter)
+(* In place: the state [split t] would build, from the same single
+   splitter word, without allocating. *)
+let split_into t child = seed_into child (child_seed t)
 
 let split_n t k = Array.init k (fun _ -> split t)
 
@@ -56,22 +94,52 @@ let release_child r =
   let cell = Domain.DLS.get scratch_children in
   cell := r :: !cell
 
-let bits64 t = Xoshiro.next_int64 t.gen
+let[@inline] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-(* The allocation-free draws below read the step output back as halves;
-   [bits63] and [bits53] are the integer lattices behind [int] and
-   [unit_float], exposed so samplers can hoist comparisons into the
+(* One xoshiro256++ step: the output is rotl(s0 + s3, 23) + s0, then
+   the linear state transition. *)
+let[@inline] next t =
+  let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
+  let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
+  let s2 = Int64.logxor s2 s0 and s3 = Int64.logxor s3 s1 in
+  set t 0 (Int64.logxor s0 s3);
+  set t 8 (Int64.logxor s1 s2);
+  set t 16 (Int64.logxor s2 (Int64.shift_left s1 17));
+  set t 24 (rotl s3 45);
+  result
+
+let bits64 t = next t
+
+(* [bits63] (the low 63 bits, as [Int64.to_int] keeps them) and
+   [bits53] (the top 53) are the integer lattices behind [int] and
+   [unit_float]; [bits53] is exported so samplers can compare in the
    integer domain. *)
+let[@inline] bits63 t = Int64.to_int (next t)
 
-let[@inline] bits63 t =
-  let g = t.gen in
-  Xoshiro.step g;
-  ((Xoshiro.out_hi g land 0x7FFFFFFF) lsl 32) lor Xoshiro.out_lo g
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
 
-let[@inline] bits53 t =
-  let g = t.gen in
-  Xoshiro.step g;
-  (Xoshiro.out_hi g lsl 21) lor (Xoshiro.out_lo g lsr 11)
+let bool t = Int64.to_int (next t) land 1 = 1
+
+(* The stream sketches' salted hashes, here beside [mix13] so that no
+   [int64] crosses into the sketch per sample: [salt] arrives as the
+   sketch's own box and the results leave as [int]s. *)
+let hash_bucket salt x m =
+  let h = mix13 (Int64.logxor salt (Int64.of_int x)) in
+  let m = Int64.of_int m in
+  (* [h] read as unsigned, modulo [m] > 0: halve, divide, double, and
+     the remainder left lies in [0, 2m). *)
+  let q = Int64.shift_left (Int64.div (Int64.shift_right_logical h 1) m) 1 in
+  let r = Int64.sub h (Int64.mul q m) in
+  if r >= m then Int64.to_int (Int64.sub r m) else Int64.to_int r
+
+let hash_sign salt k x =
+  let key =
+    Int64.logxor
+      (Int64.add salt (Int64.mul (Int64.of_int (k + 1)) golden))
+      (Int64.of_int x)
+  in
+  if Int64.to_int (mix13 key) land 1 = 0 then 1 else -1
 
 (* Lemire's nearly-divisionless unbiased bounded generation, specialised to
    OCaml's 63-bit ints. We draw 64 bits, keep the low 63 (non-negative as an
@@ -117,11 +185,6 @@ let unit_floats_into t buf =
   done
 
 let float t bound = bound *. unit_float t
-
-let bool t =
-  let g = t.gen in
-  Xoshiro.step g;
-  Xoshiro.out_lo g land 1 = 1
 
 let sign t = if bool t then 1 else -1
 

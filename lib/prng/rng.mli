@@ -1,10 +1,15 @@
 (** The project-wide random source.
 
-    A thin, allocation-light layer over {!Xoshiro} that adds the sampling
+    xoshiro256++ (Blackman & Vigna 2019) for draws, seeded and split
+    through SplitMix64 (Steele, Lea & Flood 2014), plus the sampling
     primitives the simulators need: bounded integers, floats, Bernoulli /
     binomial / geometric draws, shuffles — and {e splitting}, which gives
     every player in a distributed protocol its own independent stream so
-    that whole protocol executions are reproducible from one root seed. *)
+    that whole protocol executions are reproducible from one root seed.
+
+    The draws, in-place splits and hashes below allocate nothing: the
+    64-bit arithmetic runs unboxed inside this module, and only
+    {!bits64} and {!mix} return an [int64]. *)
 
 type t
 (** Mutable random source. *)
@@ -40,7 +45,8 @@ val release_child : t -> unit
     the domain-local free list for reuse. *)
 
 val bits64 : t -> int64
-(** 64 uniformly random bits. *)
+(** 64 uniformly random bits: the next xoshiro256++ output. Boxed;
+    hot paths use {!bits53}, {!int} or {!bool}. *)
 
 val bits53 : t -> int
 (** The top 53 bits of a 64-bit draw: the integer lattice behind
@@ -135,3 +141,19 @@ val rademacher_vector_into : t -> int array -> unit
     uniform {-1,+1} entries, drawing exactly the stream
     [rademacher_vector t (Array.length z)] would — the allocation-free
     variant for scratch buffers on the Monte-Carlo hot path. *)
+
+(** {1 Hashing} *)
+
+val mix : int64 -> int64
+(** [mix z] is SplitMix64's output function, Stafford's "mix13"
+    finalizer: a bijective 64-bit hash, for cold paths. *)
+
+val hash_bucket : int64 -> int -> int -> int
+(** [hash_bucket salt x m] is [mix (salt lxor x)], read as an unsigned
+    64-bit integer, modulo [m] ([m > 0]): the salted bucket of sample
+    [x] among [m], without allocating. *)
+
+val hash_sign : int64 -> int -> int -> int
+(** [hash_sign salt k x] is [+1] or [-1] by the low bit (even: [+1]) of
+    [mix ((salt + (k + 1) * 0x9E3779B97F4A7C15) lxor x)]: the [k]-th
+    salted ±1 hash of sample [x], without allocating. *)

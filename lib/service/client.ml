@@ -40,11 +40,13 @@ let run ?timeout_s ~socket ~out lines =
       ~finally:(fun () -> Conn.close conn)
       (fun () ->
         List.iter (Conn.send conn) to_send;
+        (* Lines that are not objects carrying an id in range are
+           skipped, not trusted. *)
         let record line =
           match J.parse line with
           | exception J.Malformed _ -> ()
-          | j -> (
-              match J.field_opt j "id" with
+          | J.Obj kvs -> (
+              match List.assoc_opt "id" kvs with
               | Some (J.Num f)
                 when Float.is_integer f
                      && int_of_float f >= 0
@@ -64,6 +66,7 @@ let run ?timeout_s ~socket ~out lines =
                         "dut query: duplicate response for id %d (ignored)\n%!"
                         id)
               | _ -> ())
+          | _ -> ()
         in
         (* Write before the first poll: a batch that fits the socket
            buffer goes out in one write(2), as a blocking client's

@@ -308,13 +308,14 @@ type request = { id : int; query : (t, string) result }
 let request_of_line line =
   match J.parse line with
   | exception J.Malformed msg -> { id = -1; query = Error msg }
-  | j ->
+  | J.Obj kvs as j ->
       let id =
-        match J.field_opt j "id" with
+        match List.assoc_opt "id" kvs with
         | Some (J.Num f) when Float.is_integer f -> int_of_float f
         | _ -> -1
       in
       { id; query = of_json j }
+  | _ -> { id = -1; query = Error "expected a JSON object" }
 
 let request_to_line ~id q =
   match to_json q with

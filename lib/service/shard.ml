@@ -282,11 +282,11 @@ let connect_retrying path =
 
 let response_id line =
   match J.parse line with
-  | exception J.Malformed _ -> None
-  | j -> (
-      match J.field_opt j "id" with
+  | J.Obj kvs -> (
+      match List.assoc_opt "id" kvs with
       | Some (J.Num f) when Float.is_integer f -> Some (int_of_float f)
       | _ -> None)
+  | _ | (exception J.Malformed _) -> None
 
 (* Re-key a worker response line with the client's id. Worker lines are
    [Query.response_line] output — "{\"id\":N," then the payload bytes

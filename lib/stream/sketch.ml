@@ -49,28 +49,15 @@ type config = {
    claim in the tests holds against any honest accounting. *)
 let header_words = 8
 
-let mix64 = Dut_prng.Splitmix.mix
-
 (* Bucket of a sample under the shared salted hash. The identity map
    when the budget covers the domain: the histogram is then exact and
    bit-compatible with the batch statistic. *)
 let bucket cfg x =
-  if cfg.exact then x
-  else
-    let h = mix64 (Int64.logxor cfg.salt (Int64.of_int x)) in
-    Int64.to_int (Int64.unsigned_rem h (Int64.of_int cfg.nbuckets))
+  if cfg.exact then x else Dut_prng.Rng.hash_bucket cfg.salt x cfg.nbuckets
 
 (* k-th ±1 hash for the AMS counters: one SplitMix finalisation per
    counter, keyed by salt, counter index and sample. *)
-let golden = 0x9E3779B97F4A7C15L
-
-let sign cfg k x =
-  let key =
-    Int64.logxor
-      (Int64.add cfg.salt (Int64.mul (Int64.of_int (k + 1)) golden))
-      (Int64.of_int x)
-  in
-  if Int64.equal (Int64.logand (mix64 key) 1L) 0L then 1 else -1
+let sign cfg k x = Dut_prng.Rng.hash_sign cfg.salt k x
 
 let config ~kind ~n ~budget_words ~seed =
   if n <= 0 then invalid_arg "Sketch.config: n <= 0";
@@ -79,7 +66,7 @@ let config ~kind ~n ~budget_words ~seed =
       (Printf.sprintf "Sketch.config: budget_words <= %d (the fixed header)"
          header_words);
   let room = budget_words - header_words in
-  let salt = mix64 (Int64.of_int seed) in
+  let salt = Dut_prng.Rng.mix (Int64.of_int seed) in
   match kind with
   | Ams ->
       let cfg =

@@ -57,8 +57,20 @@ let map_sample r rng raw =
 let test r target rng samples =
   if Dut_dist.Pmf.size target <> r.n then
     invalid_arg "Identity.test: target size mismatch";
-  let flattened = Array.map (map_sample r rng) samples in
-  Collision.test ~n:r.m ~eps:(r.eps /. 4.) flattened
+  (* The collision tester on the flattened samples, each counted in
+     the domain's scratch histogram as it is mapped, in index order:
+     the draws of mapping the array first, with no mapped copy of the
+     samples and no m-bucket histogram on the major heap per call.
+     Raising a count from c - 1 to c adds c - 1 colliding pairs. *)
+  let h = Dut_engine.Scratch.hist ~size:r.m in
+  let collisions = ref 0 in
+  Array.iter
+    (fun raw ->
+      collisions :=
+        !collisions + Dut_engine.Scratch.bump h (map_sample r rng raw) - 1)
+    samples;
+  float_of_int !collisions
+  < Collision.cutoff ~n:r.m ~m:(Array.length samples) ~eps:(r.eps /. 4.)
 
 let recommended_samples ~n ~eps =
   let m = int_of_float (ceil (8. *. float_of_int n /. eps)) in

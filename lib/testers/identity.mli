@@ -41,7 +41,9 @@ val test :
   reduction -> Dut_dist.Pmf.t -> Dut_prng.Rng.t -> int array -> bool
 (** [test r target rng samples] — [true] = "consistent with the
     target". [target] must be the pmf the reduction was built from
-    (used only for sanity checking sizes).
+    (used only for sanity checking sizes). The flattened samples are
+    counted in this domain's [Dut_engine.Scratch.hist], which a caller
+    must not be holding across the call.
 
     @raise Invalid_argument on a universe-size mismatch. *)
 

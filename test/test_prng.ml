@@ -5,57 +5,40 @@ open Dut_prng
 
 let check_float = Alcotest.(check (float 1e-9))
 
-(* -- Splitmix ------------------------------------------------------- *)
+(* -- Splitmix: the splitter stream and its finalizer ----------------- *)
 
 let test_splitmix_deterministic () =
-  let a = Splitmix.create 123L and b = Splitmix.create 123L in
+  let a = Rng.create 123 and b = Rng.create 123 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Splitmix.next_int64 a) (Splitmix.next_int64 b)
+    Alcotest.(check int64) "same children"
+      (Rng.bits64 (Rng.split a))
+      (Rng.bits64 (Rng.split b))
   done
 
 let test_splitmix_seed_sensitivity () =
-  let a = Splitmix.create 1L and b = Splitmix.create 2L in
-  let xa = Splitmix.next_int64 a and xb = Splitmix.next_int64 b in
-  Alcotest.(check bool) "different seeds differ" true (xa <> xb)
-
-let test_splitmix_copy_independent () =
-  let a = Splitmix.create 7L in
-  let _ = Splitmix.next_int64 a in
-  let b = Splitmix.copy a in
-  Alcotest.(check int64) "copy continues identically" (Splitmix.next_int64 a)
-    (Splitmix.next_int64 b)
+  let a = Rng.split (Rng.create 1) and b = Rng.split (Rng.create 2) in
+  Alcotest.(check bool) "different seeds differ" true
+    (Rng.bits64 a <> Rng.bits64 b)
 
 let test_splitmix_mix_nonzero () =
   (* mix is a bijection-ish finalizer; it should not collapse small inputs. *)
-  let outs = List.init 64 (fun i -> Splitmix.mix (Int64.of_int i)) in
+  let outs = List.init 64 (fun i -> Rng.mix (Int64.of_int i)) in
   let distinct = List.sort_uniq compare outs in
   Alcotest.(check int) "64 distinct outputs" 64 (List.length distinct)
 
 let test_splitmix_split_diverges () =
-  let a = Splitmix.create 99L in
-  let child = Splitmix.split a in
-  let xa = Splitmix.next_int64 a and xc = Splitmix.next_int64 child in
+  let a = Rng.create 99 in
+  let child = Rng.split a in
+  let xa = Rng.bits64 a and xc = Rng.bits64 child in
   Alcotest.(check bool) "parent and child streams differ" true (xa <> xc)
 
-(* -- Xoshiro -------------------------------------------------------- *)
+(* -- Xoshiro: the draw stream ---------------------------------------- *)
 
 let test_xoshiro_deterministic () =
-  let a = Xoshiro.create 5L and b = Xoshiro.create 5L in
+  let a = Rng.create 5 and b = Rng.create 5 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Xoshiro.next_int64 a) (Xoshiro.next_int64 b)
+    Alcotest.(check int64) "same stream" (Rng.bits64 a) (Rng.bits64 b)
   done
-
-let test_xoshiro_zero_state_rejected () =
-  Alcotest.check_raises "all-zero state"
-    (Invalid_argument "Xoshiro.of_state: all-zero state") (fun () ->
-      ignore (Xoshiro.of_state 0L 0L 0L 0L))
-
-let test_xoshiro_jump_changes_stream () =
-  let a = Xoshiro.create 11L in
-  let b = Xoshiro.copy a in
-  Xoshiro.jump b;
-  Alcotest.(check bool) "jumped stream differs" true
-    (Xoshiro.next_int64 a <> Xoshiro.next_int64 b)
 
 (* -- Rng ------------------------------------------------------------ *)
 
@@ -268,33 +251,35 @@ let test_float_bound () =
   done;
   check_float "float 0 bound" 0. (Rng.float rng 0.)
 
-(* -- Pair kernel vs the Int64 reference ------------------------------ *)
+(* -- The generator pair vs the Int64 references ------------------------ *)
 
-(* Textbook splitmix64, kept in Int64 the whole way. The production
-   kernel runs on 32-bit native halves to stay allocation-free, so
-   matching this reference word for word across seeds certifies the
-   limb arithmetic (carries, cross products, shifts across the seam). *)
+(* Textbook mix13 and splitmix64, kept in Int64 the whole way: the
+   references [Rng]'s kernel, a xoshiro256++ generator paired with a
+   SplitMix64 splitter in one byte buffer, must match word for word
+   across seeds (carries, multiplies and shifts across all 64 bits). *)
+let mix_ref z =
+  let z =
+    Int64.mul
+      (Int64.logxor z (Int64.shift_right_logical z 30))
+      0xBF58476D1CE4E5B9L
+  in
+  let z =
+    Int64.mul
+      (Int64.logxor z (Int64.shift_right_logical z 27))
+      0x94D049BB133111EBL
+  in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
 let splitmix_ref seed =
   let state = ref seed in
   fun () ->
     state := Int64.add !state 0x9E3779B97F4A7C15L;
-    let z = !state in
-    let z =
-      Int64.mul
-        (Int64.logxor z (Int64.shift_right_logical z 30))
-        0xBF58476D1CE4E5B9L
-    in
-    let z =
-      Int64.mul
-        (Int64.logxor z (Int64.shift_right_logical z 27))
-        0x94D049BB133111EBL
-    in
-    Int64.logxor z (Int64.shift_right_logical z 31)
+    mix_ref !state
 
 let rotl64 x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-(* Textbook xoshiro256++ in Int64, seeded exactly as [Xoshiro.create]:
+(* Textbook xoshiro256++ in Int64, seeded as [Rng] seeds a generator:
    four splitmix64 words (all-zero guarded to s0 = 1). *)
 let xoshiro_ref seed =
   let sm = splitmix_ref seed in
@@ -311,31 +296,50 @@ let xoshiro_ref seed =
     s.(3) <- rotl64 s.(3) 45;
     result
 
-let kernel_seeds =
-  [ 0L; 1L; -1L; 123456789L; 0xDEADBEEFL; Int64.min_int; Int64.max_int ]
+let kernel_seeds = [ 0; 1; -1; 123456789; 0xDEADBEEF; min_int; max_int ]
 
+let check_words label t next =
+  for i = 1 to 500 do
+    Alcotest.(check int64) (Printf.sprintf "%s word %d" label i) (next ())
+      (Rng.bits64 t)
+  done
+
+(* A root's splitter is a SplitMix64 stream started at
+   mix13 (lognot seed), and split child i is the generator seeded with
+   its word i: checked on 500 children (split and split_into
+   alternating) through their first word, and on two of them through
+   500 words. *)
 let test_splitmix_matches_int64_reference () =
+  let scratch = Rng.create 0 in
   List.iter
     (fun seed ->
-      let t = Splitmix.create seed in
-      let next = splitmix_ref seed in
-      for i = 1 to 500 do
-        Alcotest.(check int64)
-          (Printf.sprintf "seed %Ld word %d" seed i)
-          (next ()) (Splitmix.next_int64 t)
+      let root = Rng.create seed in
+      let words = splitmix_ref (mix_ref (Int64.lognot (Int64.of_int seed))) in
+      for c = 1 to 500 do
+        let w = words () in
+        Alcotest.(check int64) (Printf.sprintf "mix of word %d" c) (mix_ref w)
+          (Rng.mix w);
+        let child =
+          if c land 1 = 1 then Rng.split root
+          else begin
+            Rng.split_into root scratch;
+            scratch
+          end
+        in
+        let next = xoshiro_ref w in
+        let label = Printf.sprintf "seed %d child %d" seed c in
+        if c <= 2 then check_words label child next
+        else Alcotest.(check int64) label (next ()) (Rng.bits64 child)
       done)
     kernel_seeds
 
 let test_xoshiro_matches_int64_reference () =
   List.iter
     (fun seed ->
-      let t = Xoshiro.create seed in
-      let next = xoshiro_ref seed in
-      for i = 1 to 500 do
-        Alcotest.(check int64)
-          (Printf.sprintf "seed %Ld word %d" seed i)
-          (next ()) (Xoshiro.next_int64 t)
-      done)
+      check_words
+        (Printf.sprintf "seed %d" seed)
+        (Rng.create seed)
+        (xoshiro_ref (Int64.of_int seed)))
     kernel_seeds
 
 let test_unit_float_is_bits53_lattice () =
@@ -417,6 +421,24 @@ let prop_split_into_equals_split =
       in
       round () && round () && Rng.bits64 a = Rng.bits64 b)
 
+let prop_hashes_equal_int64_reference =
+  (* The sketches' hashes, against the [Int64] code they replaced:
+     any salt, any sample, buckets from 1 to max_int. *)
+  QCheck.Test.make ~name:"hash_bucket/hash_sign = Int64 references"
+    ~count:1000
+    QCheck.(quad int64 int (int_range 1 max_int) small_nat)
+    (fun (salt, x, m, k) ->
+      let h = mix_ref (Int64.logxor salt (Int64.of_int x)) in
+      let key =
+        Int64.logxor
+          (Int64.add salt (Int64.mul (Int64.of_int (k + 1)) 0x9E3779B97F4A7C15L))
+          (Int64.of_int x)
+      in
+      Rng.hash_bucket salt x m
+      = Int64.to_int (Int64.unsigned_rem h (Int64.of_int m))
+      && Rng.hash_sign salt k x
+         = if Int64.equal (Int64.logand (mix_ref key) 1L) 0L then 1 else -1)
+
 let () =
   Alcotest.run "dut_prng"
     [
@@ -424,16 +446,11 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_splitmix_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_splitmix_seed_sensitivity;
-          Alcotest.test_case "copy" `Quick test_splitmix_copy_independent;
           Alcotest.test_case "mix injective on small ints" `Quick test_splitmix_mix_nonzero;
           Alcotest.test_case "split diverges" `Quick test_splitmix_split_diverges;
         ] );
       ( "xoshiro",
-        [
-          Alcotest.test_case "deterministic" `Quick test_xoshiro_deterministic;
-          Alcotest.test_case "zero state rejected" `Quick test_xoshiro_zero_state_rejected;
-          Alcotest.test_case "jump" `Quick test_xoshiro_jump_changes_stream;
-        ] );
+        [ Alcotest.test_case "deterministic" `Quick test_xoshiro_deterministic ] );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
@@ -482,6 +499,6 @@ let () =
           [
             prop_int_in_bounds; prop_split_deterministic;
             prop_ints_into_equals_scalar; prop_unit_floats_into_equals_scalar;
-            prop_split_into_equals_split;
+            prop_split_into_equals_split; prop_hashes_equal_int64_reference;
           ] );
     ]

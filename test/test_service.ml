@@ -363,7 +363,8 @@ let test_client_timeout_and_duplicates () =
           done
     done;
     let line = {|{"id":0,"status":"ok","value":1}|} ^ "\n" in
-    let payload = Bytes.of_string (line ^ line) in
+    (* Reply lines that are JSON but not objects are skipped. *)
+    let payload = Bytes.of_string ("[]\n1\n\"x\"\n" ^ line ^ line) in
     ignore (Unix.write conn payload 0 (Bytes.length payload));
     (* Hold the connection open so the client times out instead of
        seeing EOF. *)
@@ -590,6 +591,48 @@ let test_unterminated_last_request () =
             (Astring.String.is_infix ~affix:{|"status":"ok"|} line)
       | lines ->
           Alcotest.failf "shards=%d: %d responses, expected 1" shards
+            (List.length lines))
+    [ 1; 2 ]
+
+(* A request line that is valid JSON but not an object, or an object
+   that is no query, gets an error line with id -1; the server (or the
+   router) keeps serving, on that connection and the next. *)
+let test_non_object_lines () =
+  List.iter
+    (fun shards ->
+      with_forked_server ~shards @@ fun socket ->
+      let valid =
+        {|{"id":7,"kind":"bound","name":"thm11_lower","params":{"n":4096,"k":64,"eps":0.25}}|}
+      in
+      let bad = [ "[]"; "1"; {|"x"|}; "{}" ] in
+      let lines =
+        raw_exchange socket (String.concat "\n" (bad @ [ valid ]) ^ "\n")
+      in
+      let errors, others =
+        List.partition
+          (String.starts_with ~prefix:{|{"id":-1,"status":"error"|})
+          lines
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "shards=%d: one error line per bad line" shards)
+        (List.length bad) (List.length errors);
+      (match others with
+      | [ line ] ->
+          Alcotest.(check bool)
+            (Printf.sprintf "shards=%d: the valid query is answered" shards)
+            true
+            (String.starts_with ~prefix:{|{"id":7,"status":"ok"|} line)
+      | _ ->
+          Alcotest.failf "shards=%d: %d other lines, expected 1" shards
+            (List.length others));
+      match raw_exchange socket valid with
+      | [ line ] ->
+          Alcotest.(check bool)
+            (Printf.sprintf "shards=%d: still serving" shards)
+            true
+            (String.starts_with ~prefix:{|{"id":7,"status":"ok"|} line)
+      | lines ->
+          Alcotest.failf "shards=%d: %d responses on a new connection" shards
             (List.length lines))
     [ 1; 2 ]
 
@@ -857,6 +900,8 @@ let () =
             test_client_timeout_and_duplicates;
           Alcotest.test_case "max-pending overflow" `Quick
             test_max_pending_overflow;
+          Alcotest.test_case "non-object request lines" `Quick
+            test_non_object_lines;
           Alcotest.test_case "unterminated last request" `Quick
             test_unterminated_last_request;
           Alcotest.test_case "10,000-line batch, one server" `Quick

@@ -497,6 +497,26 @@ let test_steady_state_allocation () =
           words words_per_chunk_cap)
     [ Anytime.Growing; Anytime.Sliding 8 ]
 
+(* Ingesting into a warm sketch allocates nothing: the salted bucket
+   hash and the AMS counters' sign hashes box no [int64], per sample or
+   per counter. *)
+let test_add_range_allocates_nothing () =
+  let rng = Rng.create 7 in
+  let xs = Array.init 4096 (fun _ -> Rng.int rng 256) in
+  List.iter
+    (fun (label, kind) ->
+      let sk =
+        Sketch.create (Sketch.config ~kind ~n:256 ~budget_words:40 ~seed:2019)
+      in
+      Sketch.add_range sk xs ~lo:0 ~hi:4096;
+      let words0 = Gc.minor_words () in
+      Sketch.add_range sk xs ~lo:0 ~hi:4096;
+      let words = Gc.minor_words () -. words0 in
+      Alcotest.(check (float 0.))
+        (label ^ ": minor words over 4,096 warm samples")
+        0. words)
+    [ ("hashed", Sketch.Hist); ("ams", Sketch.Ams) ]
+
 (* -- fold_chunks --------------------------------------------------------- *)
 
 let test_fold_chunks_deterministic () =
@@ -577,6 +597,8 @@ let () =
           Alcotest.test_case "words within budget on fixed configs" `Quick
             test_words_within_budget_fixed;
           Alcotest.test_case "excess centering" `Quick test_excess_centering;
+          Alcotest.test_case "warm add_range allocates nothing" `Quick
+            test_add_range_allocates_nothing;
         ] );
       ( "ingest",
         [

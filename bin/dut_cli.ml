@@ -985,97 +985,91 @@ let report_manifest path =
     with _ -> false
   in
   match Json.parse (read_file path) with
-  | exception Json.Malformed msg -> obs_fail path msg
-  | exception Sys_error msg -> obs_fail path msg
-  | m when schema_prefix m "dut-service-fleet/" -> (
-      try report_fleet path m with Json.Malformed msg -> obs_fail path msg)
-  | m when schema_prefix m "dut-service/" -> (
-      try report_service path m with Json.Malformed msg -> obs_fail path msg)
-  | m -> (
-      try
-        let yn b = if b then "yes" else "no" in
-        Printf.printf "manifest %s (%s, code %s)\n" path
-          (Json.want_str m "schema") (code_of m);
-        Printf.printf "  command     %s\n" (Json.want_str m "command");
-        (* status and jobs_requested arrived with dut-manifest/2; render
-           a /1 manifest without them rather than failing on it. *)
-        (match Json.field_opt m "status" with
-        | Some (Json.Str s) -> Printf.printf "  status      %s\n" s
-        | _ -> ());
-        let requested =
-          match Json.field_opt m "jobs_requested" with
-          | Some (Json.Num r) -> Printf.sprintf " (requested %.0f, clamped)" r
-          | _ -> ""
-        in
-        Printf.printf "  profile     %-6s seed %.0f   jobs %.0f%s\n"
-          (Json.want_str m "profile") (Json.want_num m "seed")
-          (Json.want_num m "jobs") requested;
-        Printf.printf "  adaptive    %-6s warm-start %s\n"
-          (yn (Json.want_bool m "adaptive"))
-          (yn (Json.want_bool m "warm_start"));
-        Printf.printf "  wall        %.1fs   summed-cpu %.1fs\n"
-          (Json.want_num m "wall_seconds")
-          (Json.want_num m "cpu_seconds");
-        (match Json.field m "experiments" with
-        | Json.Arr exps ->
-            let entry e =
-              let status =
-                match Json.field_opt e "status" with
-                | Some (Json.Str s) -> s
-                | _ -> "ok"
-              in
-              let resumed =
-                match Json.field_opt e "resumed" with
-                | Some (Json.Bool b) -> b
-                | _ -> false
-              in
-              (Json.want_str e "id", Json.want_num e "seconds", status, resumed)
+  | m when schema_prefix m "dut-service-fleet/" -> report_fleet path m
+  | m when schema_prefix m "dut-service/" -> report_service path m
+  | m ->
+      let yn b = if b then "yes" else "no" in
+      Printf.printf "manifest %s (%s, code %s)\n" path
+        (Json.want_str m "schema") (code_of m);
+      Printf.printf "  command     %s\n" (Json.want_str m "command");
+      (* status and jobs_requested arrived with dut-manifest/2; render
+         a /1 manifest without them rather than failing on it. *)
+      (match Json.field_opt m "status" with
+      | Some (Json.Str s) -> Printf.printf "  status      %s\n" s
+      | _ -> ());
+      let requested =
+        match Json.field_opt m "jobs_requested" with
+        | Some (Json.Num r) -> Printf.sprintf " (requested %.0f, clamped)" r
+        | _ -> ""
+      in
+      Printf.printf "  profile     %-6s seed %.0f   jobs %.0f%s\n"
+        (Json.want_str m "profile") (Json.want_num m "seed")
+        (Json.want_num m "jobs") requested;
+      Printf.printf "  adaptive    %-6s warm-start %s\n"
+        (yn (Json.want_bool m "adaptive"))
+        (yn (Json.want_bool m "warm_start"));
+      Printf.printf "  wall        %.1fs   summed-cpu %.1fs\n"
+        (Json.want_num m "wall_seconds")
+        (Json.want_num m "cpu_seconds");
+      (match Json.field m "experiments" with
+      | Json.Arr exps ->
+          let entry e =
+            let status =
+              match Json.field_opt e "status" with
+              | Some (Json.Str s) -> s
+              | _ -> "ok"
             in
-            let timed = List.map entry exps in
-            let count p = List.length (List.filter p timed) in
-            let n_failed = count (fun (_, _, s, _) -> s = "failed") in
-            let n_interrupted = count (fun (_, _, s, _) -> s = "interrupted") in
-            let n_resumed = count (fun (_, _, _, r) -> r) in
-            Printf.printf "\nexperiments (%d" (List.length timed);
-            if n_resumed > 0 then Printf.printf ", %d resumed" n_resumed;
-            if n_failed > 0 then Printf.printf ", %d FAILED" n_failed;
-            if n_interrupted > 0 then
-              Printf.printf ", %d interrupted" n_interrupted;
-            print_endline ", slowest first)";
-            let annotate status resumed =
-              (if resumed then "  (resumed)" else "")
-              ^ match status with "ok" -> "" | s -> "  " ^ String.uppercase_ascii s
+            let resumed =
+              match Json.field_opt e "resumed" with
+              | Some (Json.Bool b) -> b
+              | _ -> false
             in
-            List.iter
-              (fun (id, _, status, resumed) ->
-                if status = "failed" then
-                  match
-                    List.find_opt
-                      (fun e -> Json.want_str e "id" = id)
-                      exps
-                  with
-                  | Some e -> (
-                      match Json.field_opt e "error" with
-                      | Some (Json.Str msg) ->
-                          Printf.printf "  %-22s FAILED: %s%s\n" id msg
-                            (if resumed then " (resumed)" else "")
-                      | _ -> ())
-                  | None -> ())
-              timed;
-            let slowest =
-              List.sort (fun (_, a, _, _) (_, b, _, _) -> Float.compare b a) timed
-            in
-            List.iteri
-              (fun i (id, s, status, resumed) ->
-                if i < 10 then
-                  Printf.printf "  %-22s %7.1fs%s\n" id s
-                    (annotate status resumed))
-              slowest;
-            if List.length slowest > 10 then
-              Printf.printf "  ... %d more\n" (List.length slowest - 10)
-        | _ -> raise (Json.Malformed "experiments: expected array"));
-        report_counters m
-      with Json.Malformed msg -> obs_fail path msg)
+            (Json.want_str e "id", Json.want_num e "seconds", status, resumed)
+          in
+          let timed = List.map entry exps in
+          let count p = List.length (List.filter p timed) in
+          let n_failed = count (fun (_, _, s, _) -> s = "failed") in
+          let n_interrupted = count (fun (_, _, s, _) -> s = "interrupted") in
+          let n_resumed = count (fun (_, _, _, r) -> r) in
+          Printf.printf "\nexperiments (%d" (List.length timed);
+          if n_resumed > 0 then Printf.printf ", %d resumed" n_resumed;
+          if n_failed > 0 then Printf.printf ", %d FAILED" n_failed;
+          if n_interrupted > 0 then
+            Printf.printf ", %d interrupted" n_interrupted;
+          print_endline ", slowest first)";
+          let annotate status resumed =
+            (if resumed then "  (resumed)" else "")
+            ^ match status with "ok" -> "" | s -> "  " ^ String.uppercase_ascii s
+          in
+          List.iter
+            (fun (id, _, status, resumed) ->
+              if status = "failed" then
+                match
+                  List.find_opt
+                    (fun e -> Json.want_str e "id" = id)
+                    exps
+                with
+                | Some e -> (
+                    match Json.field_opt e "error" with
+                    | Some (Json.Str msg) ->
+                        Printf.printf "  %-22s FAILED: %s%s\n" id msg
+                          (if resumed then " (resumed)" else "")
+                    | _ -> ())
+                | None -> ())
+            timed;
+          let slowest =
+            List.sort (fun (_, a, _, _) (_, b, _, _) -> Float.compare b a) timed
+          in
+          List.iteri
+            (fun i (id, s, status, resumed) ->
+              if i < 10 then
+                Printf.printf "  %-22s %7.1fs%s\n" id s
+                  (annotate status resumed))
+            slowest;
+          if List.length slowest > 10 then
+            Printf.printf "  ... %d more\n" (List.length slowest - 10)
+      | _ -> raise (Json.Malformed "experiments: expected array"));
+      report_counters m
 
 (* Load a trace through Profile.read_file, turning an unreadable or
    malformed-complete-line file into exit 1. Truncation handling is the
@@ -1195,73 +1189,71 @@ let report_timeline path =
   in
   match lines with
   | [] -> obs_fail path "empty timeline file"
-  | header :: samples -> (
-      match Json.parse header with
-      | exception Json.Malformed msg -> obs_fail path msg
-      | h ->
-          (match Json.field_opt h "schema" with
-          | Some (Json.Str "dut-timeline/1") -> ()
-          | _ -> obs_fail path "not a dut-timeline/1 file");
-          let started_ns = Json.want_num h "started_ns" in
-          let interval_ms = Json.want_num h "interval_ms" in
-          let parsed =
-            List.mapi
-              (fun i line ->
-                match Json.parse line with
-                | exception Json.Malformed msg ->
-                    obs_fail path (Printf.sprintf "sample %d: %s" (i + 1) msg)
-                | j -> j)
-              samples
-          in
-          let span_s =
-            match List.rev parsed with
-            | last :: _ -> (Json.want_num last "t_ns" -. started_ns) /. 1e9
-            | [] -> 0.
-          in
-          Printf.printf "timeline %s (dut-timeline/1, every %.0fms): %d \
-                         samples over %.1fs\n"
-            path interval_ms (List.length parsed) span_s;
-          if parsed <> [] then begin
-            Printf.printf "  %8s %10s %8s %9s %10s %10s %10s\n" "t(s)"
-              "dtrials" "dtasks" "idle(ms)" "minor(Mw)" "major(Mw)"
-              "task p95";
-            List.iter
-              (fun j ->
-                let t = (Json.want_num j "t_ns" -. started_ns) /. 1e9 in
-                let counter name =
-                  match Json.field_opt j "counters" with
-                  | Some c -> (
-                      match Json.field_opt c name with
-                      | Some (Json.Num f) -> f
-                      | _ -> 0.)
-                  | None -> 0.
-                in
-                let gc name =
-                  match Json.field_opt j "gc" with
-                  | Some g -> (
-                      match Json.field_opt g name with
-                      | Some (Json.Num f) -> f
-                      | _ -> 0.)
-                  | None -> 0.
-                in
-                let task_p95 =
-                  match Json.field_opt j "histograms" with
-                  | Some hs -> (
-                      match Json.field_opt hs "pool.task_ns" with
-                      | Some hp -> hist_cell ~ns:true hp "p95"
-                      | None -> "-")
-                  | None -> "-"
-                in
-                Printf.printf "  %8.2f %10.0f %8.0f %9.1f %10.2f %10.2f %10s\n"
-                  t
-                  (counter "mc.trials_used")
-                  (counter "pool.tasks_claimed")
-                  (counter "pool.idle_ns" /. 1e6)
-                  (gc "minor_words" /. 1e6)
-                  (gc "major_words" /. 1e6)
-                  task_p95)
-              parsed
-          end)
+  | header :: samples ->
+      let h = Json.parse header in
+      (match Json.field_opt h "schema" with
+      | Some (Json.Str "dut-timeline/1") -> ()
+      | _ -> obs_fail path "not a dut-timeline/1 file");
+      let started_ns = Json.want_num h "started_ns" in
+      let interval_ms = Json.want_num h "interval_ms" in
+      let parsed =
+        List.mapi
+          (fun i line ->
+            match Json.parse line with
+            | exception Json.Malformed msg ->
+                obs_fail path (Printf.sprintf "sample %d: %s" (i + 1) msg)
+            | j -> j)
+          samples
+      in
+      let span_s =
+        match List.rev parsed with
+        | last :: _ -> (Json.want_num last "t_ns" -. started_ns) /. 1e9
+        | [] -> 0.
+      in
+      Printf.printf "timeline %s (dut-timeline/1, every %.0fms): %d \
+                     samples over %.1fs\n"
+        path interval_ms (List.length parsed) span_s;
+      if parsed <> [] then begin
+        Printf.printf "  %8s %10s %8s %9s %10s %10s %10s\n" "t(s)"
+          "dtrials" "dtasks" "idle(ms)" "minor(Mw)" "major(Mw)"
+          "task p95";
+        List.iter
+          (fun j ->
+            let t = (Json.want_num j "t_ns" -. started_ns) /. 1e9 in
+            let counter name =
+              match Json.field_opt j "counters" with
+              | Some c -> (
+                  match Json.field_opt c name with
+                  | Some (Json.Num f) -> f
+                  | _ -> 0.)
+              | None -> 0.
+            in
+            let gc name =
+              match Json.field_opt j "gc" with
+              | Some g -> (
+                  match Json.field_opt g name with
+                  | Some (Json.Num f) -> f
+                  | _ -> 0.)
+              | None -> 0.
+            in
+            let task_p95 =
+              match Json.field_opt j "histograms" with
+              | Some hs -> (
+                  match Json.field_opt hs "pool.task_ns" with
+                  | Some hp -> hist_cell ~ns:true hp "p95"
+                  | None -> "-")
+              | None -> "-"
+            in
+            Printf.printf "  %8.2f %10.0f %8.0f %9.1f %10.2f %10.2f %10s\n"
+              t
+              (counter "mc.trials_used")
+              (counter "pool.tasks_claimed")
+              (counter "pool.idle_ns" /. 1e6)
+              (gc "minor_words" /. 1e6)
+              (gc "major_words" /. 1e6)
+              task_p95)
+          parsed
+      end
 
 (* Counters classified jobs-invariant in doc/observability.md: the
    engine's determinism contract makes their totals bit-equal across
@@ -1277,20 +1269,14 @@ let jobs_invariant_counter name =
 let counters_of path =
   let open Dut_obs in
   if not (Sys.file_exists path) then obs_fail path "no such manifest";
-  match Json.parse (read_file path) with
-  | exception Json.Malformed msg -> obs_fail path msg
-  | exception Sys_error msg -> obs_fail path msg
-  | m -> (
-      match Json.field_opt m "counters" with
-      | Some (Json.Obj kvs) ->
-          List.filter_map
-            (fun (k, v) ->
-              match v with Json.Num f -> Some (k, f) | _ -> None)
-            kvs
-      | _ -> obs_fail path "counters: expected object")
+  match Json.field_opt (Json.parse (read_file path)) "counters" with
+  | Some (Json.Obj kvs) ->
+      List.filter_map
+        (fun (k, v) -> match v with Json.Num f -> Some (k, f) | _ -> None)
+        kvs
+  | _ -> obs_fail path "counters: expected object"
 
-let report_compare path_a path_b =
-  let a = counters_of path_a and b = counters_of path_b in
+let report_compare (path_a, a) (path_b, b) =
   let names =
     List.sort_uniq String.compare
       (List.filter jobs_invariant_counter (List.map fst a @ List.map fst b))
@@ -1413,28 +1399,35 @@ let obs_report_cmd =
       | Some t -> t
       | None -> obs_fail what "requires --trace FILE"
     in
+    (* Every report reads its files through [guard]: JSON of the wrong
+       shape raises Json.Malformed from whichever accessor met it, and
+       an unreadable file Sys_error; both exit 1 naming the file. *)
+    let guard path report =
+      try report path
+      with Dut_obs.Json.Malformed msg | Sys_error msg -> obs_fail path msg
+    in
+    let manifest_path =
+      Option.value manifest ~default:Dut_obs.Manifest.default_path
+    in
     match (compare, timeline, flame, profile) with
-    | _, Some path, _, _ -> report_timeline path
-    | _, _, true, _ -> report_flame (need_trace "--flame")
+    | _, Some path, _, _ -> guard path report_timeline
+    | _, _, true, _ -> guard (need_trace "--flame") report_flame
     | _, _, _, true ->
-        report_profile
-          ~trace_path:(need_trace "--profile")
-          ~manifest_path:
-            (Option.value manifest ~default:Dut_obs.Manifest.default_path)
-          ~top:(max 1 top)
+        guard (need_trace "--profile") (fun trace_path ->
+            report_profile ~trace_path ~manifest_path ~top:(max 1 top))
     | Some path_b, _, _, _ ->
-        report_compare
-          (Option.value manifest ~default:Dut_obs.Manifest.default_path)
-          path_b
+        let a = guard manifest_path counters_of in
+        let b = guard path_b counters_of in
+        report_compare (manifest_path, a) (path_b, b)
     | None, None, false, false -> (
         match (manifest, trace) with
-        | None, None -> report_manifest Dut_obs.Manifest.default_path
+        | None, None -> guard manifest_path report_manifest
         | _ ->
-            Option.iter report_manifest manifest;
+            Option.iter (fun path -> guard path report_manifest) manifest;
             (match (manifest, trace) with
             | Some _, Some _ -> print_newline ()
             | _ -> ());
-            Option.iter report_trace trace)
+            Option.iter (fun path -> guard path report_trace) trace)
   in
   Cmd.v (Cmd.info "obs-report" ~doc)
     Term.(

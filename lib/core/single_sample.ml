@@ -96,15 +96,3 @@ let accepts t =
 
 let tester ~n ~eps ~k ~bits =
   accepts (make ~n ~eps ~k ~bits)
-
-let critical_k ?adaptive ~trials ~level ~rng ~ell ~eps ~bits ?(hi = 1 lsl 22)
-    ?guess () =
-  let n = 1 lsl (ell + 1) in
-  let ok k =
-    let probe_rng = Dut_prng.Rng.split rng in
-    Evaluate.succeeds ?adaptive ~trials ~level ~rng:probe_rng ~ell ~eps
-      (tester ~n ~eps ~k ~bits)
-  in
-  match guess with
-  | Some guess -> Dut_stats.Critical.search_seeded ~lo:2 ~hi ~guess ok
-  | None -> Dut_stats.Critical.search ~lo:2 ~hi ok

@@ -40,20 +40,3 @@ val accepts : t -> Dut_prng.Rng.t -> Dut_protocol.Network.source -> bool
     count collisions, threshold. *)
 
 val tester : n:int -> eps:float -> k:int -> bits:int -> Evaluate.tester
-
-val critical_k :
-  ?adaptive:bool ->
-  trials:int ->
-  level:float ->
-  rng:Dut_prng.Rng.t ->
-  ell:int ->
-  eps:float ->
-  bits:int ->
-  ?hi:int ->
-  ?guess:int ->
-  unit ->
-  int option
-(** The least number of players at which the protocol succeeds (the
-    quantity [1] trades off against ℓ); doubling + bisection like
-    {!Evaluate.critical_q}, with the same [?adaptive] stopping and
-    [?guess] warm-started bracketing. *)

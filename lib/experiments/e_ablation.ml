@@ -33,24 +33,19 @@ let run (cfg : Config.t) =
   let level_rows =
     (* q* grows with the demanded level: warm-start each level at the
        previous (lower) level's answer. *)
-    let prev = ref None in
-    List.map
-      (fun level ->
-        let guess = if cfg.warm_start then !prev else None in
-        let qstar =
-          Dut_core.Evaluate.critical_q ~adaptive:cfg.adaptive
-            ~trials:cfg.trials ~level
-            ~rng:(Dut_prng.Rng.split rng) ~ell ~eps ~hi ?guess (fun q ->
-              Cg.tester_majority ~n ~eps ~k ~q
-                ~calibration_trials:cfg.calibration_trials
-                ~rng:(Dut_prng.Rng.split rng) Cg.Clique)
-        in
-        (match qstar with Some q -> prev := Some q | None -> ());
-        [
-          Table.Float level;
-          (match qstar with Some q -> Table.Int q | None -> Table.Str "not found");
-        ])
+    Sweep.grid cfg
+      ~guess:(fun _ q0 _ -> q0)
+      (fun level guess ->
+        Sweep.critical cfg rng ~level ~ell ~eps ~hi ?guess (fun q ->
+            Cg.tester_majority ~n ~eps ~k ~q
+              ~calibration_trials:cfg.calibration_trials
+              ~rng:(Dut_prng.Rng.split rng) Cg.Clique))
       [ 0.67; 0.72; 0.8; 0.88 ]
+    |> List.map (fun (level, qstar) ->
+           [
+             Table.Float level;
+             (match qstar with Some q -> Table.Int q | None -> Table.Str "not found");
+           ])
   in
   [
     Table.make

@@ -9,36 +9,31 @@ let run (cfg : Config.t) =
   in
   let n = 1 lsl (ell + 1) in
   let hi = 16 * int_of_float (Dut_core.Bounds.centralized ~n ~eps) in
-  let critical ?guess make =
-    Dut_core.Evaluate.critical_q ~adaptive:cfg.adaptive ~trials:cfg.trials
-      ~level:cfg.level ~rng:(Dut_prng.Rng.split rng) ~ell ~eps ~hi ?guess make
-  in
   let results =
     (* Warm starts from the previous k: Thm 1.2 says the AND-rule q* is
-       flat in k (up to polylog), majority scales as k^(-1/2). *)
+       flat in k (up to polylog), majority scales as k^(-1/2). Both
+       searches share one anchor, the last k where either found a
+       value, so this keeps a fold of its own. *)
     let _, rev =
       List.fold_left
         (fun (prev, acc) k ->
           let guess_and, guess_maj =
             match prev with
-            | Some (k0, a0, m0) when cfg.warm_start ->
+            | Some (k0, a0, m0) ->
                 ( Option.map (fun a -> max 1 a) a0,
                   Option.map
                     (fun m ->
-                      max 1
-                        (int_of_float
-                           (Float.round
-                              (float_of_int m
-                              *. sqrt (float_of_int k0 /. float_of_int k)))))
+                      Sweep.round
+                        (float_of_int m *. sqrt (float_of_int k0 /. float_of_int k)))
                     m0 )
-            | _ -> (None, None)
+            | None -> (None, None)
           in
           let q_and =
-            critical ?guess:guess_and (fun q ->
+            Sweep.critical cfg rng ~ell ~eps ~hi ?guess:guess_and (fun q ->
                 Cg.tester_fixed ~n ~eps ~k ~q ~t:1 Cg.Clique)
           in
           let q_maj =
-            critical ?guess:guess_maj (fun q ->
+            Sweep.critical cfg rng ~ell ~eps ~hi ?guess:guess_maj (fun q ->
                 Cg.tester_majority ~n ~eps ~k ~q
                   ~calibration_trials:cfg.calibration_trials
                   ~rng:(Dut_prng.Rng.split rng) Cg.Clique)
@@ -54,15 +49,8 @@ let run (cfg : Config.t) =
     List.rev rev
   in
   let fit extract =
-    let pts =
-      List.filter_map
-        (fun (k, qa, qm) ->
-          Option.map (fun q -> (float_of_int k, float_of_int q)) (extract (qa, qm)))
-        results
-    in
-    if List.length pts >= 2 then
-      Dut_stats.Fit.power_law_exponent (Array.of_list pts)
-    else Float.nan
+    Sweep.exponent float_of_int
+      (List.map (fun (k, qa, qm) -> (k, extract (qa, qm))) results)
   in
   let exp_and = fit fst and exp_maj = fit snd in
   let rows =

@@ -13,45 +13,20 @@ let run (cfg : Config.t) =
     (* Warm-start each k from the previous q* scaled by Theorem 1.1's
        q* ∝ k^(-1/2), so the search brackets near the answer instead of
        cold-doubling from 1. *)
-    let _, rev =
-      List.fold_left
-        (fun (prev, acc) k ->
-          let guess =
-            match prev with
-            | Some (k0, q0) when cfg.warm_start ->
-                Some
-                  (max 1
-                     (int_of_float
-                        (Float.round
-                           (float_of_int q0
-                           *. sqrt (float_of_int k0 /. float_of_int k)))))
-            | _ -> None
-          in
-          let qstar =
-            Dut_core.Evaluate.critical_q ~adaptive:cfg.adaptive
-              ~trials:cfg.trials ~level:cfg.level ~rng:(Dut_prng.Rng.split rng)
-              ~ell ~eps ~hi ?guess (fun q ->
-                Cg.tester_majority ~n ~eps ~k ~q
-                  ~calibration_trials:cfg.calibration_trials
-                  ~rng:(Dut_prng.Rng.split rng) Cg.Clique)
-          in
-          let prev = match qstar with Some q -> Some (k, q) | None -> prev in
-          (prev, (k, qstar) :: acc))
-        (None, []) ks
-    in
-    List.rev rev
+    Sweep.grid cfg
+      ~guess:(fun k0 q0 k ->
+        Sweep.round (float_of_int q0 *. sqrt (float_of_int k0 /. float_of_int k)))
+      (fun k guess ->
+        Sweep.critical cfg rng ~ell ~eps ~hi ?guess (fun q ->
+            Cg.tester_majority ~n ~eps ~k ~q
+              ~calibration_trials:cfg.calibration_trials
+              ~rng:(Dut_prng.Rng.split rng) Cg.Clique))
+      ks
   in
-  let points =
-    List.filter_map
-      (fun (k, q) -> Option.map (fun q -> (float_of_int k, float_of_int q)) q)
-      results
-  in
+  let points = Sweep.points float_of_int results in
   let exponent_note =
-    if List.length points >= 3 then begin
-      let ci =
-        Dut_stats.Bootstrap.exponent_ci (Dut_prng.Rng.split rng)
-          (Array.of_list points)
-      in
+    if Array.length points >= 3 then begin
+      let ci = Dut_stats.Bootstrap.exponent_ci (Dut_prng.Rng.split rng) points in
       Printf.sprintf
         "fitted exponent of q*(k): %.3f [90%% bootstrap %.3f, %.3f] (Theorem 1.1 predicts -0.5)"
         ci.estimate ci.lower ci.upper

@@ -12,64 +12,32 @@ let run (cfg : Config.t) =
     | Config.Fast -> ([ 5; 6; 7; 8 ], 0.3, 6, [ 0.2; 0.3; 0.4; 0.5 ])
     | Config.Full -> ([ 5; 6; 7; 8; 9; 10 ], 0.25, 8, [ 0.15; 0.2; 0.25; 0.3; 0.4; 0.5 ])
   in
-  let critical ?guess ~ell ~eps () =
+  let critical ~ell ~eps guess =
     let n = 1 lsl (ell + 1) in
     let hi = 16 * int_of_float (Dut_core.Bounds.centralized ~n ~eps) in
-    Dut_core.Evaluate.critical_q ~adaptive:cfg.adaptive ~trials:cfg.trials
-      ~level:cfg.level ~rng:(Dut_prng.Rng.split rng) ~ell ~eps ~hi ?guess
-      (fun q -> centralized_tester ~n ~eps ~q)
+    Sweep.critical cfg rng ~ell ~eps ~hi ?guess (fun q ->
+        centralized_tester ~n ~eps ~q)
   in
   (* Warm starts along both sweeps: m* ∝ sqrt(n) on the n grid,
      m* ∝ eps^(-2) on the eps grid. *)
-  let scale f = max 1 (int_of_float (Float.round f)) in
   let n_sweep =
-    let prev = ref None in
-    List.map
-      (fun ell ->
-        let guess =
-          match !prev with
-          | Some (ell0, m0) when cfg.warm_start ->
-              Some
-                (scale
-                   (float_of_int m0 *. (2. ** (float_of_int (ell - ell0) /. 2.))))
-          | _ -> None
-        in
-        let m = critical ?guess ~ell ~eps:eps_fixed () in
-        (match m with Some m -> prev := Some (ell, m) | None -> ());
-        (ell, m))
+    Sweep.grid cfg
+      ~guess:(fun ell0 m0 ell ->
+        Sweep.round
+          (float_of_int m0 *. (2. ** (float_of_int (ell - ell0) /. 2.))))
+      (fun ell -> critical ~ell ~eps:eps_fixed)
       ells
   in
   let eps_sweep =
-    let prev = ref None in
-    List.map
-      (fun eps ->
-        let guess =
-          match !prev with
-          | Some (e0, m0) when cfg.warm_start ->
-              Some (scale (float_of_int m0 *. ((e0 /. eps) ** 2.)))
-          | _ -> None
-        in
-        let m = critical ?guess ~ell:ell_fixed ~eps () in
-        (match m with Some m -> prev := Some (eps, m) | None -> ());
-        (eps, m))
+    Sweep.grid cfg
+      ~guess:(fun e0 m0 eps -> Sweep.round (float_of_int m0 *. ((e0 /. eps) ** 2.)))
+      (fun eps -> critical ~ell:ell_fixed ~eps)
       epss
   in
-  let fit pts =
-    if List.length pts >= 2 then
-      Dut_stats.Fit.power_law_exponent (Array.of_list pts)
-    else Float.nan
+  let n_exponent =
+    Sweep.exponent (fun ell -> float_of_int (1 lsl (ell + 1))) n_sweep
   in
-  let n_points =
-    List.filter_map
-      (fun (ell, q) ->
-        Option.map (fun q -> (float_of_int (1 lsl (ell + 1)), float_of_int q)) q)
-      n_sweep
-  in
-  let eps_points =
-    List.filter_map
-      (fun (eps, q) -> Option.map (fun q -> (eps, float_of_int q)) q)
-      eps_sweep
-  in
+  let eps_exponent = Sweep.exponent Fun.id eps_sweep in
   let n_rows =
     List.map
       (fun (ell, qstar) ->
@@ -101,7 +69,7 @@ let run (cfg : Config.t) =
       ~columns:[ "n"; "m*"; "theory sqrt(n)/e^2" ]
       ~notes:
         [
-          Printf.sprintf "fitted exponent in n: %.3f (theory 0.5)" (fit n_points);
+          Printf.sprintf "fitted exponent in n: %.3f (theory 0.5)" n_exponent;
         ]
       n_rows;
     Table.make
@@ -111,7 +79,7 @@ let run (cfg : Config.t) =
       ~columns:[ "eps"; "m*"; "theory sqrt(n)/e^2" ]
       ~notes:
         [
-          Printf.sprintf "fitted exponent in eps: %.3f (theory -2)" (fit eps_points);
+          Printf.sprintf "fitted exponent in eps: %.3f (theory -2)" eps_exponent;
         ]
       eps_rows;
   ]

@@ -9,32 +9,28 @@ let run (cfg : Config.t) =
   in
   let n = 1 lsl (ell + 1) in
   let results =
-    (* Warm-start along the eps grid with the shared q* ∝ eps^(-2). *)
-    let scale e0 e q0 =
-      max 1 (int_of_float (Float.round (float_of_int q0 *. (e0 /. e) ** 2.)))
-    in
+    (* Warm-start along the eps grid with the shared q* ∝ eps^(-2). Both
+       searches share one anchor, the last eps where either found a
+       value, so this keeps a fold of its own. *)
+    let scale e0 e q0 = Sweep.round (float_of_int q0 *. (e0 /. e) ** 2.) in
     let _, rev =
       List.fold_left
         (fun (prev, acc) eps ->
           let hi = 16 * int_of_float (Dut_core.Bounds.centralized ~n ~eps) in
           let guess_maj, guess_and =
             match prev with
-            | Some (e0, m0, a0) when cfg.warm_start ->
+            | Some (e0, m0, a0) ->
                 (Option.map (scale e0 eps) m0, Option.map (scale e0 eps) a0)
-            | _ -> (None, None)
+            | None -> (None, None)
           in
           let q_maj =
-            Dut_core.Evaluate.critical_q ~adaptive:cfg.adaptive
-              ~trials:cfg.trials ~level:cfg.level ~rng:(Dut_prng.Rng.split rng)
-              ~ell ~eps ~hi ?guess:guess_maj (fun q ->
+            Sweep.critical cfg rng ~ell ~eps ~hi ?guess:guess_maj (fun q ->
                 Cg.tester_majority ~n ~eps ~k ~q
                   ~calibration_trials:cfg.calibration_trials
                   ~rng:(Dut_prng.Rng.split rng) Cg.Clique)
           in
           let q_and =
-            Dut_core.Evaluate.critical_q ~adaptive:cfg.adaptive
-              ~trials:cfg.trials ~level:cfg.level ~rng:(Dut_prng.Rng.split rng)
-              ~ell ~eps ~hi ?guess:guess_and (fun q ->
+            Sweep.critical cfg rng ~ell ~eps ~hi ?guess:guess_and (fun q ->
                 Cg.tester_fixed ~n ~eps ~k ~q ~t:1 Cg.Clique)
           in
           let prev =
@@ -48,15 +44,8 @@ let run (cfg : Config.t) =
     List.rev rev
   in
   let fit extract =
-    let pts =
-      List.filter_map
-        (fun (eps, qm, qa) ->
-          Option.map (fun q -> (eps, float_of_int q)) (extract (qm, qa)))
-        results
-    in
-    if List.length pts >= 2 then
-      Dut_stats.Fit.power_law_exponent (Array.of_list pts)
-    else Float.nan
+    Sweep.exponent Fun.id
+      (List.map (fun (eps, qm, qa) -> (eps, extract (qm, qa))) results)
   in
   let rows =
     List.map

@@ -58,46 +58,21 @@ let run (cfg : Config.t) =
     | Config.Full -> (5, 0.3, 16, 6)
   in
   let n = 1 lsl (ell + 1) in
-  let families =
-    [
-      Cg.Clique;
-      Cg.Matching;
-      Cg.Bipartite;
-      Cg.Random_regular { degree; seed = 1 };
-    ]
-  in
   let hi = 64 * int_of_float (Dut_core.Bounds.centralized ~n ~eps) in
-  let results =
-    (* The clique runs first; later families warm-start from its
-       critical edge count via their own m(q) inverse. *)
-    let _, rev =
-      List.fold_left
-        (fun (clique_edges, acc) family ->
-          let guess =
-            match clique_edges with
-            | Some m when cfg.warm_start -> Some (q_for_edges family m)
-            | _ -> None
-          in
-          let qstar =
-            Dut_core.Evaluate.critical_q ~adaptive:cfg.adaptive
-              ~trials:cfg.trials ~level:cfg.level ~rng:(Dut_prng.Rng.split rng)
-              ~ell ~eps ~lo:(min_q family) ~hi ?guess (fun q ->
-                Cg.tester_fixed ~n ~eps ~k ~q ~t:1 family)
-          in
-          let clique_edges =
-            match (family, qstar) with
-            | Cg.Clique, Some q -> Some (edge_count_at ~q Cg.Clique)
-            | _ -> clique_edges
-          in
-          (clique_edges, (family, qstar) :: acc))
-        (None, []) families
-    in
-    List.rev rev
+  let critical family guess =
+    Sweep.critical cfg rng ~ell ~eps ~lo:(min_q family) ~hi ?guess (fun q ->
+        Cg.tester_fixed ~n ~eps ~k ~q ~t:1 family)
   in
-  let clique_edges =
-    match List.assoc_opt Cg.Clique results with
-    | Some (Some q) -> Some (edge_count_at ~q Cg.Clique)
-    | _ -> None
+  (* The clique runs first; later families warm-start from its
+     critical edge count via their own m(q) inverse. *)
+  let clique_q = critical Cg.Clique None in
+  let clique_edges = Option.map (fun q -> edge_count_at ~q Cg.Clique) clique_q in
+  let results =
+    (Cg.Clique, clique_q)
+    :: List.map
+         (fun family ->
+           (family, critical family (Option.map (q_for_edges family) clique_edges)))
+         [ Cg.Matching; Cg.Bipartite; Cg.Random_regular { degree; seed = 1 } ]
   in
   let rows =
     List.map

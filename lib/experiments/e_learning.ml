@@ -16,16 +16,7 @@ let run (cfg : Config.t) =
         (q, kstar))
       qs
   in
-  let points =
-    List.filter_map
-      (fun (q, k) -> Option.map (fun k -> (float_of_int q, float_of_int k)) k)
-      results
-  in
-  let exponent =
-    if List.length points >= 2 then
-      Dut_stats.Fit.power_law_exponent (Array.of_list points)
-    else Float.nan
-  in
+  let exponent = Sweep.exponent float_of_int results in
   let rows =
     List.map
       (fun (q, kstar) ->

@@ -21,20 +21,19 @@ let run (cfg : Config.t) =
   let hi = 16 * int_of_float (Dut_core.Bounds.centralized ~n ~eps) in
   let rows =
     (* q* is topology-independent (same votes, different transport), so
-       each topology warm-starts at the previous one's answer. *)
+       each topology warm-starts at the previous one's answer. The
+       instrumented run at q* draws from [rng] between two searches,
+       so this walks the grid itself rather than through Sweep.grid. *)
     let prev = ref None in
     List.map
       (fun (name, graph) ->
-        let guess = if cfg.warm_start then !prev else None in
         let qstar =
-          Dut_core.Evaluate.critical_q ~adaptive:cfg.adaptive
-            ~trials:cfg.trials ~level:cfg.level
-            ~rng:(Dut_prng.Rng.split rng) ~ell ~eps ~hi ?guess (fun q ->
+          Sweep.critical cfg rng ~ell ~eps ~hi ?guess:!prev (fun q ->
               Dut_netsim.Local_tester.tester ~graph ~n ~eps ~q
                 ~calibration_trials:cfg.calibration_trials
                 ~rng:(Dut_prng.Rng.split rng))
         in
-        (match qstar with Some q -> prev := Some q | None -> ());
+        if qstar <> None then prev := qstar;
         match qstar with
         | None ->
             [ Table.Str name; Table.Str "-"; Table.Str "not found"; Table.Str "-";

@@ -15,28 +15,19 @@ let run (cfg : Config.t) =
         let points =
           (* The AND tester's q* is nearly flat in k: the previous grid
              point's answer is already a tight warm-start bracket. *)
-          let prev = ref None in
-          List.filter_map
-            (fun k ->
-              let guess = if cfg.warm_start then !prev else None in
-              let qstar =
-                Dut_core.Evaluate.critical_q ~adaptive:cfg.adaptive
-                  ~trials:cfg.trials ~level:cfg.level
-                  ~rng:(Dut_prng.Rng.split rng) ~ell ~eps ~hi ?guess (fun q ->
-                    Cg.tester_fixed ~n ~eps ~k ~q ~t:1 Cg.Clique)
-              in
-              (match qstar with Some q -> prev := Some q | None -> ());
-              Option.map (fun q -> (float_of_int k, float_of_int q)) qstar)
+          Sweep.grid cfg
+            ~guess:(fun _ q0 _ -> q0)
+            (fun k guess ->
+              Sweep.critical cfg rng ~ell ~eps ~hi ?guess (fun q ->
+                  Cg.tester_fixed ~n ~eps ~k ~q ~t:1 Cg.Clique))
             ks
+          |> Sweep.points float_of_int
         in
-        if List.length points < 3 then
+        if Array.length points < 3 then
           [ Table.Float eps; Table.Str "not enough points"; Table.Str "-";
             Table.Str "-"; Table.Str "-"; Table.Str "-" ]
         else begin
-          let ci =
-            Dut_stats.Bootstrap.exponent_ci (Dut_prng.Rng.split rng)
-              (Array.of_list points)
-          in
+          let ci = Dut_stats.Bootstrap.exponent_ci (Dut_prng.Rng.split rng) points in
           (* The AND tester's gain exponent theta satisfies q* ~ k^-theta,
              so theta-hat = -slope. *)
           let theta = -.ci.estimate in

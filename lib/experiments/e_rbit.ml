@@ -10,33 +10,16 @@ let run (cfg : Config.t) =
   let results =
     (* Warm-start along the message-size grid with Theorem 6.4's
        q* ∝ 2^(-r/2). *)
-    let _, rev =
-      List.fold_left
-        (fun (prev, acc) bits ->
-          let guess =
-            match prev with
-            | Some (b0, q0) when cfg.warm_start ->
-                Some
-                  (max 1
-                     (int_of_float
-                        (Float.round
-                           (float_of_int q0
-                           /. (2. ** (float_of_int (bits - b0) /. 2.))))))
-            | _ -> None
-          in
-          let qstar =
-            Dut_core.Evaluate.critical_q ~adaptive:cfg.adaptive
-              ~trials:cfg.trials ~level:cfg.level ~rng:(Dut_prng.Rng.split rng)
-              ~ell ~eps ~hi ?guess (fun q ->
-                Dut_core.Rbit_tester.tester ~n ~eps ~k ~q ~bits
-                  ~calibration_trials:cfg.calibration_trials
-                  ~rng:(Dut_prng.Rng.split rng))
-          in
-          let prev = match qstar with Some q -> Some (bits, q) | None -> prev in
-          (prev, (bits, qstar) :: acc))
-        (None, []) bits_list
-    in
-    List.rev rev
+    Sweep.grid cfg
+      ~guess:(fun b0 q0 bits ->
+        Sweep.round
+          (float_of_int q0 /. (2. ** (float_of_int (bits - b0) /. 2.))))
+      (fun bits guess ->
+        Sweep.critical cfg rng ~ell ~eps ~hi ?guess (fun q ->
+            Dut_core.Rbit_tester.tester ~n ~eps ~k ~q ~bits
+              ~calibration_trials:cfg.calibration_trials
+              ~rng:(Dut_prng.Rng.split rng)))
+      bits_list
   in
   let rows =
     List.map

@@ -16,43 +16,18 @@ let run (cfg : Config.t) =
        profile.) With warm starts off every point is cold and order is
        cost-neutral, so the historical ascending order is kept — this
        is what lets `--cold-search` reproduce pre-overhaul records
-       stream for stream. *)
-    let order = if cfg.warm_start then List.rev bits_list else bits_list in
-    let _, acc =
-      List.fold_left
-        (fun (prev, acc) bits ->
-          let guess =
-            match prev with
-            | Some (b0, k0) when cfg.warm_start ->
-                Some
-                  (max 2
-                     (int_of_float
-                        (Float.round
-                           (float_of_int k0
-                           /. (2. ** (float_of_int (bits - b0) /. 2.))))))
-            | _ -> None
-          in
-          let kstar =
-            Dut_core.Single_sample.critical_k ~adaptive:cfg.adaptive
-              ~trials:cfg.trials ~level:cfg.level ~rng:(Dut_prng.Rng.split rng)
-              ~ell ~eps ~bits ~hi:(1 lsl 20) ?guess ()
-          in
-          let prev = match kstar with Some k -> Some (bits, k) | None -> prev in
-          (prev, (bits, kstar) :: acc))
-        (None, []) order
-    in
-    if cfg.warm_start then acc else List.rev acc
-  in
-  let points =
-    List.filter_map
-      (fun (bits, k) ->
-        Option.map (fun k -> (2. ** float_of_int bits, float_of_int k)) k)
-      results
+       stream for stream. The search is over the player count k >= 2. *)
+    Sweep.grid ~descending:true cfg
+      ~guess:(fun b0 k0 bits ->
+        Sweep.round ~least:2
+          (float_of_int k0 /. (2. ** (float_of_int (bits - b0) /. 2.))))
+      (fun bits guess ->
+        Sweep.critical cfg rng ~ell ~eps ~lo:2 ~hi:(1 lsl 20) ?guess (fun k ->
+            Dut_core.Single_sample.tester ~n ~eps ~k ~bits))
+      bits_list
   in
   let exponent =
-    if List.length points >= 2 then
-      Dut_stats.Fit.power_law_exponent (Array.of_list points)
-    else Float.nan
+    Sweep.exponent (fun bits -> 2. ** float_of_int bits) results
   in
   let rows =
     List.map

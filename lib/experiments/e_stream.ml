@@ -83,9 +83,8 @@ let run_trial ~rng ~k ~rounds ~chunk ~eps ~slide_w ~cfg_sk source =
   }
 
 let anytime_row (cfg : Config.t) ~rng ~ell ~eps ~k ~rounds ~chunk ~slide_w
-    ~kind ~budget =
+    ~budget cfg_sk =
   let n = 1 lsl (ell + 1) in
-  let cfg_sk = Sketch.config ~kind ~n ~budget_words:budget ~seed:sketch_seed in
   let trials = cfg.trials in
   let run_side source_of =
     Dut_engine.Parallel.init ~jobs:cfg.jobs ~rng:(Dut_prng.Rng.split rng)
@@ -111,7 +110,7 @@ let anytime_row (cfg : Config.t) ~rng ~ell ~eps ~k ~rounds ~chunk ~slide_w
   in
   let words = Sketch.words_used (Sketch.create cfg_sk) in
   [
-    Table.Str (Sketch.kind_to_string kind);
+    Table.Str (Sketch.kind_to_string (Sketch.kind_of cfg_sk));
     Table.Int budget;
     Table.Int words;
     Table.Bool (Sketch.is_exact cfg_sk);
@@ -141,69 +140,55 @@ let run (cfg : Config.t) =
     | Config.Fast -> ([ Sketch.exact_budget ~n; 40; 24; 16 ], [ 40; 24; 16 ])
     | Config.Full -> ([ Sketch.exact_budget ~n; 136; 72; 40; 24 ], [ 72; 40; 24 ])
   in
-  let anytime_rows =
-    List.concat_map
-      (fun (kind, budgets) ->
-        List.map
-          (fun budget ->
-            anytime_row cfg ~rng:(Dut_prng.Rng.split rng) ~ell ~eps ~k ~rounds
-              ~chunk ~slide_w ~kind ~budget)
-          budgets)
-      [ (Sketch.Hist, hist_budgets); (Sketch.Ams, ams_budgets) ]
-  in
-  (* -- memory/sample tradeoff: critical stream length per budget ------- *)
-  let critical_for ~kind ~budget ~guess =
-    let cfg_sk = Sketch.config ~kind ~n ~budget_words:budget ~seed:sketch_seed in
-    let b = float_of_int (Sketch.buckets cfg_sk) in
-    let hi =
-      max 256
-        (int_of_float
-           (32. *. float_of_int n /. (sqrt b *. eps *. eps)))
-    in
-    let qstar =
-      Dut_core.Evaluate.critical_q ~adaptive:cfg.adaptive ~trials:cfg.trials
-        ~level:cfg.level ~rng:(Dut_prng.Rng.split rng) ~ell ~eps ~hi
-        ?guess:(if cfg.warm_start then guess else None)
-        (fun q -> stream_tester ~cfg_sk ~chunk ~eps ~q)
-    in
-    (cfg_sk, qstar)
-  in
-  let tradeoff kind budgets =
-    let prev = ref None in
+  (* One sketch configuration per (kind, budget), shared by the anytime
+     rows and the tradeoff sweep. *)
+  let sketches kind budgets =
     List.map
       (fun budget ->
-        let guess =
-          match !prev with
-          | Some (b0, q0) ->
-              (* q* ~ B^(-1/2): scale the previous point's critical
-                 length by the bucket-count ratio. *)
-              Some
-                (max 1
-                   (int_of_float
-                      (Float.round
-                         (float_of_int q0 *. sqrt (float_of_int b0 /. float_of_int budget)))))
-          | None -> None
-        in
-        let cfg_sk, qstar = critical_for ~kind ~budget ~guess in
-        (match qstar with
-        | Some q -> prev := Some (budget, q)
-        | None -> ());
-        (kind, budget, cfg_sk, qstar))
+        (budget, Sketch.config ~kind ~n ~budget_words:budget ~seed:sketch_seed))
       budgets
   in
-  let trade_rows = tradeoff Sketch.Hist hist_budgets @ tradeoff Sketch.Ams ams_budgets in
+  let hists = sketches Sketch.Hist hist_budgets in
+  let amss = sketches Sketch.Ams ams_budgets in
+  let anytime_rows =
+    List.concat_map
+      (List.map (fun (budget, cfg_sk) ->
+           anytime_row cfg ~rng:(Dut_prng.Rng.split rng) ~ell ~eps ~k ~rounds
+             ~chunk ~slide_w ~budget cfg_sk))
+      [ hists; amss ]
+  in
+  (* -- memory/sample tradeoff: critical stream length per budget ------- *)
+  let tradeoff =
+    Sweep.grid cfg
+      ~guess:(fun (b0, _) q0 (budget, _) ->
+        (* q* ~ B^(-1/2): scale the previous point's critical length by
+           the bucket-count ratio. *)
+        Sweep.round
+          (float_of_int q0 *. sqrt (float_of_int b0 /. float_of_int budget)))
+      (fun (_, cfg_sk) guess ->
+        let b = float_of_int (Sketch.buckets cfg_sk) in
+        let hi =
+          max 256
+            (int_of_float
+               (32. *. float_of_int n /. (sqrt b *. eps *. eps)))
+        in
+        Sweep.critical cfg rng ~ell ~eps ~hi ?guess (fun q ->
+            stream_tester ~cfg_sk ~chunk ~eps ~q))
+  in
+  let trade_rows = tradeoff hists @ tradeoff amss in
+  let is_hist cfg_sk = Sketch.kind_of cfg_sk = Sketch.Hist in
   let batch_q =
     List.find_map
-      (fun (kind, _, cfg_sk, qstar) ->
-        if kind = Sketch.Hist && Sketch.is_exact cfg_sk then qstar else None)
+      (fun ((_, cfg_sk), qstar) ->
+        if is_hist cfg_sk && Sketch.is_exact cfg_sk then qstar else None)
       trade_rows
   in
   let trade_table_rows =
     List.map
-      (fun (kind, budget, cfg_sk, qstar) ->
+      (fun ((budget, cfg_sk), qstar) ->
         let words = Sketch.words_used (Sketch.create cfg_sk) in
         [
-          Table.Str (Sketch.kind_to_string kind);
+          Table.Str (Sketch.kind_to_string (Sketch.kind_of cfg_sk));
           Table.Int budget;
           Table.Int words;
           Table.Int (Sketch.buckets cfg_sk);
@@ -216,18 +201,11 @@ let run (cfg : Config.t) =
       trade_rows
   in
   let hist_fit =
-    let pts =
-      List.filter_map
-        (fun (kind, _, cfg_sk, qstar) ->
-          match qstar with
-          | Some q when kind = Sketch.Hist && not (Sketch.is_exact cfg_sk) ->
-              Some (float_of_int (Sketch.buckets cfg_sk), float_of_int q)
-          | _ -> None)
-        trade_rows
-    in
-    if List.length pts >= 2 then
-      Dut_stats.Fit.power_law_exponent (Array.of_list pts)
-    else Float.nan
+    Sweep.exponent
+      (fun (_, cfg_sk) -> float_of_int (Sketch.buckets cfg_sk))
+      (List.filter
+         (fun ((_, cfg_sk), _) -> is_hist cfg_sk && not (Sketch.is_exact cfg_sk))
+         trade_rows)
   in
   [
     Table.make

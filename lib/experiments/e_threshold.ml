@@ -11,37 +11,14 @@ let run (cfg : Config.t) =
   let hi = 16 * int_of_float (Dut_core.Bounds.centralized ~n ~eps) in
   let results =
     (* Warm-start along the T grid with Theorem 1.3's q* ∝ 1/T. *)
-    let _, rev =
-      List.fold_left
-        (fun (prev, acc) t ->
-          let guess =
-            match prev with
-            | Some (t0, q0) when cfg.warm_start ->
-                Some (max 1 (q0 * t0 / t))
-            | _ -> None
-          in
-          let qstar =
-            Dut_core.Evaluate.critical_q ~adaptive:cfg.adaptive
-              ~trials:cfg.trials ~level:cfg.level ~rng:(Dut_prng.Rng.split rng)
-              ~ell ~eps ~hi ?guess (fun q ->
-                Cg.tester_fixed ~n ~eps ~k ~q ~t Cg.Clique)
-          in
-          let prev = match qstar with Some q -> Some (t, q) | None -> prev in
-          (prev, (t, qstar) :: acc))
-        (None, []) ts
-    in
-    List.rev rev
+    Sweep.grid cfg
+      ~guess:(fun t0 q0 t -> max 1 (q0 * t0 / t))
+      (fun t guess ->
+        Sweep.critical cfg rng ~ell ~eps ~hi ?guess (fun q ->
+            Cg.tester_fixed ~n ~eps ~k ~q ~t Cg.Clique))
+      ts
   in
-  let points =
-    List.filter_map
-      (fun (t, q) -> Option.map (fun q -> (float_of_int t, float_of_int q)) q)
-      results
-  in
-  let exponent =
-    if List.length points >= 2 then
-      Dut_stats.Fit.power_law_exponent (Array.of_list points)
-    else Float.nan
-  in
+  let exponent = Sweep.exponent float_of_int results in
   let rows =
     List.map
       (fun (t, qstar) ->

@@ -24,16 +24,21 @@ let header ~key payload =
 
 (* The header line must be exactly the one this code would write for
    this key and these bytes, so any mismatch reads as a miss: a
-   corrupt or foreign file costs a recomputation, never a wrong byte. *)
+   corrupt or foreign file costs a recomputation, never a wrong byte.
+   The header ends at the first newline, which must be there: a file
+   cut just before it is a miss too. *)
 let find ~dir ~key =
-  match
-    In_channel.with_open_bin (path ~dir ~key) (fun ic ->
-        let header_line = input_line ic in
-        (header_line, In_channel.input_all ic))
-  with
-  | exception (Sys_error _ | End_of_file) -> None
-  | header_line, payload ->
-      if header_line = header ~key payload then Some payload else None
+  match In_channel.with_open_bin (path ~dir ~key) In_channel.input_all with
+  | exception Sys_error _ -> None
+  | content -> (
+      match String.index_opt content '\n' with
+      | None -> None
+      | Some nl ->
+          let payload =
+            String.sub content (nl + 1) (String.length content - nl - 1)
+          in
+          if String.sub content 0 nl = header ~key payload then Some payload
+          else None)
 
 let store ~dir ~key payload =
   let path = path ~dir ~key in

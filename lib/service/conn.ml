@@ -10,6 +10,18 @@ type t = {
 
 let chunk_size = 65536
 
+(* The most input a connection may hold without a newline. A valid
+   request or response line is a few hundred bytes; a peer that sends
+   more than this unterminated is answered once and no longer read, so
+   it cannot grow the process without bound. *)
+let max_unterminated = 1 lsl 20
+
+let too_long_line =
+  Query.response_line ~id:(-1)
+    (Query.error_payload
+       (Printf.sprintf "line longer than %d bytes; connection closed"
+          max_unterminated))
+
 (* One read buffer per domain, not per connection: a server holding
    thousands of idle connections would otherwise hold thousands of
    chunks, and clients run concurrently on several domains. *)
@@ -63,38 +75,6 @@ let close c =
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   end
 
-let lines_of data =
-  List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' data)
-
-let read c =
-  if not c.alive || c.eof then []
-  else
-    let buf = Domain.DLS.get scratch in
-    match Unix.read c.fd buf 0 chunk_size with
-    | 0 ->
-        c.eof <- true;
-        let tail = Buffer.contents c.input in
-        Buffer.clear c.input;
-        lines_of tail
-    | len -> (
-        match Bytes.rindex_from_opt buf (len - 1) '\n' with
-        | None ->
-            Buffer.add_subbytes c.input buf 0 len;
-            []
-        | Some last ->
-            Buffer.add_subbytes c.input buf 0 last;
-            let data = Buffer.contents c.input in
-            Buffer.clear c.input;
-            Buffer.add_subbytes c.input buf (last + 1) (len - last - 1);
-            lines_of data)
-    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-        close c;
-        []
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-        []
-
 let send c line =
   if c.alive then begin
     let len = String.length line + 1 in
@@ -115,6 +95,46 @@ let send c line =
     Bytes.set c.out (c.queued + len - 1) '\n';
     c.queued <- c.queued + len
   end
+
+let lines_of data =
+  List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' data)
+
+let read c =
+  if not c.alive || c.eof then []
+  else
+    let buf = Domain.DLS.get scratch in
+    match Unix.read c.fd buf 0 chunk_size with
+    | 0 ->
+        c.eof <- true;
+        let tail = Buffer.contents c.input in
+        Buffer.clear c.input;
+        lines_of tail
+    | len ->
+        let lines =
+          match Bytes.rindex_from_opt buf (len - 1) '\n' with
+          | None ->
+              Buffer.add_subbytes c.input buf 0 len;
+              []
+          | Some last ->
+              Buffer.add_subbytes c.input buf 0 last;
+              let data = Buffer.contents c.input in
+              Buffer.clear c.input;
+              Buffer.add_subbytes c.input buf (last + 1) (len - last - 1);
+              lines_of data
+        in
+        if Buffer.length c.input > max_unterminated then begin
+          Buffer.reset c.input;
+          c.eof <- true;
+          send c too_long_line
+        end;
+        lines
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
+        close c;
+        []
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+      ->
+        []
 
 let flush c =
   (try

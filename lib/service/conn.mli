@@ -10,7 +10,13 @@
     rest waits for a poll(2) wake-up on {!interest}. A peer that stops
     reading therefore costs memory for its own queued lines, never a
     stalled loop. ECONNRESET on a read, and EPIPE or ECONNRESET on a
-    write, close the connection. *)
+    write, close the connection.
+
+    Unterminated input is capped at 1 MiB, far above any valid line. A
+    peer that sends more without a newline gets one error line with id
+    -1, as a line that is no JSON object does, and is read no more: the
+    connection counts as at EOF, so its owner closes it once its output
+    is flushed. *)
 
 type t
 
@@ -43,7 +49,9 @@ val interest : t -> Poll.interest
 val read : t -> string list
 (** One read(2): the complete non-blank lines it finished, without
     their newlines, in order. At EOF the non-blank unterminated tail is
-    the last line. A read that would block returns []. *)
+    the last line. A read that would block returns []. A read that
+    leaves more than the cap unterminated drops it, queues the error
+    line and marks the connection at EOF. *)
 
 val send : t -> string -> unit
 (** Queue a line; the newline is appended. A no-op once closed. *)

@@ -199,6 +199,24 @@ let test_run_all_byte_identical_across_jobs () =
     "digest" "2a6a9a638c91d8d3489181a8e966ddc7"
     (Digest.to_hex (Digest.string j1))
 
+let test_run_all_cold_fixed_budget_pinned () =
+  (* The same trimmed run under --no-adaptive --cold-search, the mode
+     results/full_profile*.txt were recorded in: every critical search
+     starts cold, so its sweep sections differ from the warm run's. At
+     six trials adaptive stopping never fires, so this digest pins the
+     cold-search half of the mode. *)
+  let cfg =
+    {
+      (Dut_experiments.Config.make ~trials:6 ~jobs:1 ~adaptive:false
+         ~warm_start:false Dut_experiments.Config.Fast)
+      with
+      calibration_trials = 30;
+    }
+  in
+  Alcotest.(check string)
+    "digest" "19da07f56371c6b6f1c6480e70cbb708"
+    (Digest.to_hex (Digest.string (run_all_to_string cfg)))
+
 (* -- DUT_JOBS parsing ---------------------------------------------------- *)
 
 let with_env name value f =
@@ -297,6 +315,8 @@ let () =
         [
           Alcotest.test_case "run_all byte-identical across jobs" `Slow
             test_run_all_byte_identical_across_jobs;
+          Alcotest.test_case "run_all cold fixed-budget digest" `Slow
+            test_run_all_cold_fixed_budget_pinned;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -469,6 +469,17 @@ let test_store_other_code_is_a_miss () =
   Alcotest.(check (option string)) "entry of other code reads as a miss"
     None (Store.find ~dir ~key:"k")
 
+(* An empty payload leaves the header's newline as the entry's last
+   byte: cut that byte and the header line must no longer verify. *)
+let test_store_header_needs_newline () =
+  with_store_dir @@ fun dir ->
+  let file = stored_file ~dir ~key:"aa" "" in
+  let content = read_file file in
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc (String.sub content 0 (String.length content - 1)));
+  Alcotest.(check (option string)) "entry cut by its newline misses" None
+    (Store.find ~dir ~key:"aa")
+
 (* Whatever happens to an entry's file, find answers the exact stored
    payload or a miss: never an exception, never another key's bytes. *)
 let prop_store_damage_never_misleads =
@@ -719,6 +730,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_store_roundtrip;
           Alcotest.test_case "other code is a miss" `Quick
             test_store_other_code_is_a_miss;
+          Alcotest.test_case "header without its newline is a miss" `Quick
+            test_store_header_needs_newline;
           QCheck_alcotest.to_alcotest prop_store_damage_never_misleads;
         ] );
       ( "out-of-band",

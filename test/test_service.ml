@@ -636,6 +636,66 @@ let test_non_object_lines () =
             (List.length lines))
     [ 1; 2 ]
 
+(* 2 MiB with no newline, from a forked child killed after 30 s: the
+   server stops reading past its 1 MiB cap, so the child's write may
+   fail once the server closes. The child then reads to the end and
+   writes what it got to a file; [None] if it was killed. *)
+let unterminated_flood socket =
+  let out_path = Filename.temp_file "dut_flood" ".out" in
+  match Unix.fork () with
+  | 0 ->
+      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      let flood = Bytes.make (2 lsl 20) 'x' in
+      (try ignore (Unix.write fd flood 0 (Bytes.length flood))
+       with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+      let acc = Buffer.create 256 and buf = Bytes.create 4096 in
+      (* A peer closed with unread input reads as ECONNRESET once its
+         queued bytes are consumed: the Unix-socket form of EOF here. *)
+      let rec go () =
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 | (exception Unix.Unix_error (Unix.ECONNRESET, _, _)) -> ()
+        | n ->
+            Buffer.add_subbytes acc buf 0 n;
+            go ()
+      in
+      go ();
+      Out_channel.with_open_bin out_path (fun oc -> Buffer.output_buffer oc acc);
+      Unix._exit 0
+  | pid ->
+      let code = wait_bounded ~seconds:30. pid in
+      let out = read_file out_path in
+      Sys.remove out_path;
+      (code, nonblank_lines out)
+
+let test_unterminated_input_capped () =
+  List.iter
+    (fun shards ->
+      with_forked_server ~shards @@ fun socket ->
+      let code, lines = unterminated_flood socket in
+      Alcotest.(check (option int))
+        (Printf.sprintf "shards=%d: EOF reached, not killed" shards)
+        (Some 0) code;
+      Alcotest.(check (list string))
+        (Printf.sprintf "shards=%d: one error line" shards)
+        [
+          Query.response_line ~id:(-1)
+            (Query.error_payload
+               "line longer than 1048576 bytes; connection closed");
+        ]
+        lines;
+      match raw_exchange socket (bound_line 4096) with
+      | [ line ] ->
+          Alcotest.(check bool)
+            (Printf.sprintf "shards=%d: the next client is answered" shards)
+            true
+            (Astring.String.is_infix ~affix:{|"status":"ok"|} line)
+      | lines ->
+          Alcotest.failf "shards=%d: %d responses on a new connection" shards
+            (List.length lines))
+    [ 1; 2 ]
+
 (* A server that blocks writing replies while its client is still
    writing the batch deadlocks once both socket buffers fill (about
    4,000 bound queries); replies must queue instead. *)
@@ -904,6 +964,8 @@ let () =
             test_non_object_lines;
           Alcotest.test_case "unterminated last request" `Quick
             test_unterminated_last_request;
+          Alcotest.test_case "unterminated input capped" `Quick
+            test_unterminated_input_capped;
           Alcotest.test_case "10,000-line batch, one server" `Quick
             (large_batch 1);
           Alcotest.test_case "10,000-line batch, 2-shard fleet" `Quick
